@@ -344,10 +344,6 @@ func BenchmarkPipelinedStep(b *testing.B) {
 // guarantee's tripwire).
 func BenchmarkInsertTupleBatch(b *testing.B) { benchsuite.RunGroup(b, "InsertTupleBatch") }
 
-// BenchmarkInfluenceWalk measures sorted-small-slice influence-list
-// iteration throughput over a realistically fanned-out grid.
-func BenchmarkInfluenceWalk(b *testing.B) { benchsuite.RunGroup(b, "InfluenceWalk") }
-
 // BenchmarkScoreBlock compares the vectorized batch-scoring kernel against
 // the pointwise interface-call scoring it replaced; the ratio is the
 // batch-scoring speedup figure of the regression report.

@@ -1,15 +1,15 @@
 // Command benchreport runs the repository's hot-path benchmark suite
 // (internal/benchsuite — the paper-figure per-cycle benchmark plus the
 // batch-scoring, multi-query-kernel, query-index-probe, pub/sub
-// per-cycle, influence-walk and top-k-computation microbenchmarks),
+// per-cycle and top-k-computation microbenchmarks),
 // emits a machine-readable report, and optionally gates against a
 // committed baseline.
 //
 // Usage:
 //
-//	go run ./cmd/benchreport -out BENCH_7.json                 # refresh the baseline
-//	go run ./cmd/benchreport -baseline BENCH_7.json -tol 0.15  # regression gate (CI)
-//	go run ./cmd/benchreport -baseline BENCH_7.json -legcsv legs.csv
+//	go run ./cmd/benchreport -out BENCH_12.json                 # refresh the baseline
+//	go run ./cmd/benchreport -baseline BENCH_12.json -tol 0.15  # regression gate (CI)
+//	go run ./cmd/benchreport -baseline BENCH_12.json -legcsv legs.csv
 //
 // The run covers the hot-path suite plus the per-leg kernel series
 // (benchsuite.LegSuite): ScoreBlockLeg/<leg> and MultiQueryKernelLeg/<leg>
@@ -50,7 +50,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// MBPerS is reported for benchmarks that declare a processed-bytes
-	// size (the scoring kernels and the influence walk); 0 otherwise.
+	// size (the scoring kernels); 0 otherwise.
 	MBPerS float64 `json:"mb_per_s"`
 }
 

@@ -4,8 +4,10 @@
 //
 // The library continuously evaluates many long-running top-k preference
 // queries over a sliding window of streaming multidimensional tuples. The
-// valid tuples live in main memory, indexed by a regular grid with
-// per-cell influence lists; two maintenance policies are provided — TMA
+// valid tuples live in main memory, indexed by a regular grid, and a
+// shared query index (in place of the paper's per-cell influence lists)
+// tells each grid event which queries it concerns; two maintenance
+// policies are provided — TMA
 // (recompute on result expiration) and SMA (k-skyband pre-computation of
 // future results) — together with the TSL baseline (Fagin's threshold
 // algorithm plus materialized top-k views) the paper compares against.
@@ -35,18 +37,19 @@
 //     attributed cost) — or any custom deterministic Placement.
 //   - WithRebalance(interval, threshold) turns on cost-aware rebalancing:
 //     the engine attributes maintenance work to each query (influence
-//     events, cells processed, heap operations, cells walked — counters,
-//     not wall time, so decisions reproduce run to run), and every
+//     events, cells processed, heap operations — counters, not wall
+//     time, so decisions reproduce run to run), and every
 //     interval cycles the monitor compares per-shard cost accrued since
 //     the last pass; when max/mean exceeds threshold it migrates the most
 //     expensive movable queries from the hottest shard to the coldest.
 //   - Live migration moves a query's complete state between engines at a
 //     cycle barrier: core.Engine.ExportQuery snapshots the spec, the
 //     admission filters, the TMA top list or SMA skyband (with dominance
-//     counters) or threshold set, the reporting baseline, the registered
-//     influence-cell set, and the attributed cost; ImportQuery installs
-//     it on the target engine without recomputation. Nothing is
-//     re-derived — both engines index the identical broadcast stream, so
+//     counters) or threshold set, the reporting baseline and the
+//     attributed cost; ImportQuery installs it on the target engine
+//     without recomputation, re-deriving only the query-index entry from
+//     the snapshot's bound. Both engines index the identical broadcast
+//     stream, so
 //     the moved query's subsequent behavior is byte-identical, a promise
 //     the differential harness enforces by forcing migrations mid-run and
 //     comparing transcripts against the single engine.
@@ -166,11 +169,10 @@
 //
 // The per-cycle hot path is columnar and batch-scored. Each grid cell
 // stores its tuples as a struct-of-arrays block — one flat dims-strided
-// coordinate array with parallel id/sequence/timestamp/pointer columns —
-// and influence lists are sorted small-slices (binary-search add/remove,
-// linear ascending iterate). A cycle groups its arrivals by destination
-// cell, appends each group to the cell's block, and scores the whole new
-// sub-block per influenced query with one call into the internal/simd
+// coordinate array with parallel id/sequence/timestamp/pointer columns.
+// A cycle groups its arrivals by destination cell, appends each group to
+// the cell's block, and scores the whole new sub-block against the
+// influenced queries with calls into the internal/simd
 // kernels (hand-written AVX2/NEON assembly selected by runtime feature
 // detection, falling back to four-accumulator unrolled Go — every leg
 // bit-identical to pointwise scoring, a property the kernel equivalence
@@ -186,7 +188,7 @@
 // searcher: a steady-state cycle whose results do not change performs no
 // allocations beyond the Update payloads it returns.
 //
-// At pub/sub-scale query counts the dual batching kicks in: instead of
+// Event delivery batches across queries too: instead of the paper's
 // per-query influence lists (O(queries × cells) memory, every arrival
 // scored once per influenced query), the engine maintains one shared
 // query index (internal/qindex). Queries clump into columnar clusters by
@@ -204,20 +206,24 @@
 // call (DotBlockMulti and friends — four query rows share each
 // coordinate load, every row bit-identical to the single-query kernel),
 // and a per-member row-max filter delivers only the (member, block)
-// pairs containing a score reaching that member's exact bound. Delivery is superset-safe — handlers re-check scores against
-// per-query state — so transcripts stay byte-identical to the
-// influence-list engine (kept behind WithoutQueryIndex and differentially
-// fuzzed against). The `querycount` experiment measures the payoff:
+// pairs containing a score reaching that member's exact bound. Delivery
+// is a superset of the influence region — handlers re-check scores
+// against per-query state — so transcripts stay byte-identical to the
+// naive reference the differential harness compares every mode against.
+// The query index is the engine's only delivery path: a recomputation
+// moves one bound instead of re-registering and walking influence lists,
+// and a checkpoint or migration exports O(k) query state, not a cell
+// list. The `querycount` experiment measures the payoff:
 // per-cycle cost sublinear in registered queries out to 1M
 // near-duplicate subscriptions, with index memory O(queries + cells).
 //
 // The performance trajectory is pinned by a benchmark-regression harness:
 // internal/benchsuite defines the hot-path benchmarks (the Figure 14
-// per-cycle benchmark plus InsertTupleBatch, InfluenceWalk, ScoreBlock
+// per-cycle benchmark plus InsertTupleBatch, ScoreBlock
 // kernel-vs-pointwise, MultiQueryKernel multi-vs-per-query,
 // QueryIndexProbe, the PubSubCycle query-count series and
 // TopKComputation), reachable both via `go test -bench` and via `go run
-// ./cmd/benchreport`, which emits BENCH_8.json (ns/op, allocs/op, MB/s
+// ./cmd/benchreport`, which emits BENCH_12.json (ns/op, allocs/op, MB/s
 // per benchmark, plus the ScoreBlockLeg/MultiQueryKernelLeg per-leg
 // series). CI regenerates the report on every push and gates it against
 // the committed baseline at ±15%, plus hardware-independent speedup
@@ -226,7 +232,7 @@
 // re-runs the kernel equivalence tests and fuzz smokes to pin
 // bit-identity on a fusing architecture, and both arch jobs re-run the
 // kernel suites under every TOPK_SIMD-forcible leg. Refresh the baseline
-// with `go run ./cmd/benchreport -out BENCH_8.json` when a PR
+// with `go run ./cmd/benchreport -out BENCH_12.json` when a PR
 // intentionally shifts it.
 //
 // # SIMD dispatch
@@ -324,7 +330,7 @@
 //	internal/difftest  randomized differential harness: all modes vs a naive scorer
 //	internal/tsl       the TSL baseline
 //	internal/geom      scoring functions and workspace geometry
-//	internal/grid      the grid index: columnar cells, sorted influence lists
+//	internal/grid      the grid index: columnar cells, cell geometry
 //	internal/qindex    the shared query index: columnar clusters, cell-probe caches
 //	internal/simd      batch scoring kernels over dims-strided blocks
 //	internal/topk      the top-k computation module (best-first cell search)

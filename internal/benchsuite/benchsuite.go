@@ -29,7 +29,6 @@ const (
 	seedHarness   = 1  // harness configs (tuples; queries use Seed+1)
 	seedBlockData = 41 // ScoreBlock coordinate block
 	seedBlockFn   = 42 // ScoreBlock scoring function
-	seedWalkData  = 43 // InfluenceWalk point fill
 	seedTopKData  = 3  // TopKComputation grid fill (matches bench_test.go)
 	seedTopKQuery = 4  // TopKComputation query set
 	seedMultiFn   = 44 // MultiQueryKernel near-duplicate weight rows
@@ -49,7 +48,6 @@ func Suite() []Bench {
 		{"Fig14Grid/res=12/SMA", fig14(harness.AlgoSMA)},
 		{"InsertTupleBatch/TMA", insertTupleBatch(harness.AlgoTMA)},
 		{"InsertTupleBatch/SMA", insertTupleBatch(harness.AlgoSMA)},
-		{"InfluenceWalk", influenceWalk},
 		{"ScoreBlock/kernel-d4", scoreBlockKernel},
 		{"ScoreBlock/pointwise-d4", scoreBlockPointwise},
 		{"MultiQueryKernel/multi-d4", multiQueryKernelMulti},
@@ -186,7 +184,7 @@ func fig14(algo harness.Algo) func(b *testing.B) {
 
 // insertTupleBatch stresses the cell-batched arrival/expiration path: a
 // steady-state window with a high arrival rate and enough queries that
-// influence-list fan-out dominates, i.e. the per-cycle cost is the batch
+// event-delivery fan-out dominates, i.e. the per-cycle cost is the batch
 // scoring itself.
 func insertTupleBatch(algo harness.Algo) func(b *testing.B) {
 	return func(b *testing.B) {
@@ -214,37 +212,6 @@ func insertTupleBatch(algo harness.Algo) func(b *testing.B) {
 			ts++
 		}
 	}
-}
-
-// influenceWalk measures influence-list iteration throughput over a grid
-// with realistic fan-out: 64 queries spread over a 12^4-cell grid. One op
-// walks every cell's list, which is the skeleton of a cycle's
-// insert/expire dispatch.
-func influenceWalk(b *testing.B) {
-	g := grid.New(4, 12, grid.FIFO)
-	entries := 0
-	for idx := 0; idx < g.NumCells(); idx++ {
-		for q := grid.QueryID(0); q < 64; q++ {
-			if (idx+int(q)*37)%7 == 0 {
-				g.AddInfluence(idx, q)
-				entries++
-			}
-		}
-	}
-	b.SetBytes(int64(entries) * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for idx := 0; idx < g.NumCells(); idx++ {
-			for _, q := range g.Influence(idx) {
-				total += int(q)
-			}
-		}
-		sink = total
-	}
-	_ = sink
 }
 
 // blockFixture builds the shared ScoreBlock workload: a 4096-point
@@ -362,7 +329,7 @@ func multiQueryKernelPerQuery(b *testing.B) {
 // queryIndexProbe measures the steady-state cost of probing the shared
 // query index from every cell of an 8^4 grid with 10000 near-duplicate
 // threshold queries registered — the per-cycle dispatch skeleton that
-// replaced influenceWalk's per-cell lists. One op visits every cell,
+// replaced the paper's per-cell influence lists. One op visits every cell,
 // fetches its cached cluster entries and applies the cluster-level
 // upper-bound skip, exactly like the engine's insert/expire batch paths.
 func queryIndexProbe(b *testing.B) {

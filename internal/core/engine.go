@@ -41,9 +41,9 @@ type query struct {
 	// Threshold queries: the fixed threshold. -Inf while the result is
 	// underfull (the influence region is then the whole workspace).
 	topScore float64
-	// regScore is the admission filter value at the moment the influence
-	// lists were last registered; the registered cell set corresponds to
-	// it. Used by the invariant checker.
+	// regScore is the admission filter value at the last from-scratch
+	// computation: the query-index bound, which defines the influence
+	// region. Used by the invariant checker.
 	regScore float64
 
 	// TMA state: the top list in descending total order plus an id set for
@@ -73,8 +73,8 @@ type query struct {
 	dirty   bool
 
 	// cost accumulates the maintenance work attributed to this query:
-	// influence events examined, cells processed and heap operations of its
-	// from-scratch computations, and cells visited by its pruning walks.
+	// influence events delivered to it, and the cells processed and heap
+	// operations of its from-scratch computations.
 	// It is deterministic for a given stream — the same replay attributes
 	// the same cost — which is what lets the shard rebalancer make
 	// reproducible decisions from it. Migration carries it along.
@@ -93,16 +93,13 @@ type Engine struct {
 	w    *window.Window // nil in UpdateStream mode
 	s    *topk.Searcher
 
-	// qi is the shared query index (nil under Options.DisableQueryIndex,
-	// which selects the paper's per-cell influence lists instead). The
-	// two structures answer the same question — which queries must see a
-	// stream event in this cell — with opposite scaling: influence lists
-	// cost O(queries × cells) memory and a pruning walk per
-	// recomputation, the query index costs O(queries + cells) and a
-	// bound update. Event delivery through the index is a superset of
-	// the influence-list delivery, which the admission filters and
-	// membership-test expire handlers absorb, so transcripts are
-	// byte-identical either way.
+	// qi is the shared query index: it answers which queries must see a
+	// stream event in a cell. It replaces the paper's per-cell influence
+	// lists (O(queries × cells) memory and a pruning walk per
+	// recomputation) with O(queries + cells) memory and one bound update
+	// per recomputation. Its delivery is a superset of the influence
+	// region, which the admission filters and membership-test expire
+	// handlers absorb.
 	qi *qindex.Index
 
 	// byID locates tuples for explicit deletions (UpdateStream mode only).
@@ -119,11 +116,6 @@ type Engine struct {
 	// dirtyList collects queries touched during the current cycle.
 	dirtyList []*query
 
-	// scratch state for influence-list walks.
-	walkVisited []uint32
-	walkGen     uint32
-	walkQueue   []int
-
 	// Pooled per-cycle scratch for the cell-batched insert/expire phases
 	// and update emission; steady-state cycles allocate nothing from these.
 	// cellMark stamps cells touched by the current phase (insert phase:
@@ -134,7 +126,6 @@ type Engine struct {
 	expBuckets []expBucket
 	expFilter  []*stream.Tuple
 	pendingQs  []*query
-	scoreBuf   []float64
 	mqDst      []float64
 	expCoords  []float64
 	ubRow      []float64
@@ -178,16 +169,13 @@ func NewEngine(opts Options) (*Engine, error) {
 	}
 	g := grid.New(opts.Dims, res, mode)
 	e := &Engine{
-		opts:        opts,
-		g:           g,
-		s:           topk.NewSearcher(g),
-		queries:     make(map[QueryID]*query),
-		walkVisited: make([]uint32, g.NumCells()),
-		cellMark:    make([]int32, g.NumCells()),
-		curIDs:      make(map[uint64]struct{}),
-	}
-	if !opts.DisableQueryIndex {
-		e.qi = qindex.New(opts.Dims, g)
+		opts:     opts,
+		g:        g,
+		s:        topk.NewSearcher(g),
+		qi:       qindex.New(opts.Dims, g),
+		queries:  make(map[QueryID]*query),
+		cellMark: make([]int32, g.NumCells()),
+		curIDs:   make(map[uint64]struct{}),
 	}
 	if opts.Mode == AppendOnly {
 		if !opts.ExternalExpiry {
@@ -273,29 +261,20 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 	}
 	e.nextID++
 	e.queries[q.id] = q
-	if e.qi != nil {
-		// Parked at +Inf: invisible to probes until the initial
-		// computation below installs the real bound (no cycle can run in
-		// between).
-		if err := e.qi.Add(q.id, spec.F, math.Inf(1)); err != nil {
-			panic(err)
-		}
+	// Parked at +Inf: invisible to probes until the initial computation
+	// below installs the real bound (no cycle can run in between).
+	if err := e.qi.Add(q.id, spec.F, math.Inf(1)); err != nil {
+		panic(err)
 	}
 
-	// Initial result computation (Figure 6), registering influence lists
-	// over the processed cells (or the query-index bound).
+	// Initial result computation (Figure 6), installing the query-index
+	// bound.
 	if q.kind == thresholdKind {
 		work := e.s.CellsProcessed
-		entries, processed := e.s.Threshold(spec.F, *spec.Threshold, spec.Constraint)
+		entries, _ := e.s.Threshold(spec.F, *spec.Threshold, spec.Constraint)
 		q.cost += e.s.CellsProcessed - work
-		if e.qi != nil {
-			if err := e.qi.SetBound(q.id, *spec.Threshold); err != nil {
-				panic(err)
-			}
-		} else {
-			for _, idx := range processed {
-				e.g.AddInfluence(idx, q.id)
-			}
+		if err := e.qi.SetBound(q.id, *spec.Threshold); err != nil {
+			panic(err)
 		}
 		for _, en := range entries {
 			q.thr[en.T.ID] = Entry{T: en.T, Score: en.Score}
@@ -312,27 +291,18 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 }
 
 // Unregister implements Monitor: it deletes the query from the query table
-// and removes its entries from all influence lists by walking worse-ward
-// from the cell with the maximum maxscore (Section 4.3).
+// and the query index.
 func (e *Engine) Unregister(id QueryID) error {
 	q, ok := e.queries[id]
 	if !ok {
-		return fmt.Errorf("core: unknown query %d", id)
+		return unknownQuery(id)
 	}
 	delete(e.queries, id)
 	if q.sky != nil {
 		e.numSMA--
 	}
-	if e.qi != nil {
-		if err := e.qi.Remove(id); err != nil {
-			panic(err)
-		}
-	} else {
-		start := e.g.BestCell(q.spec.F)
-		if q.spec.Constraint != nil {
-			start = e.g.BestCellIn(q.spec.F, *q.spec.Constraint)
-		}
-		e.walkInfluence(q, []int{start})
+	if err := e.qi.Remove(id); err != nil {
+		panic(err)
 	}
 	// Drop the query from the dirty list if the current cycle touched it.
 	for i, dq := range e.dirtyList {
@@ -492,7 +462,7 @@ func (e *Engine) StepExternal(now int64, arrivals, expirations []*stream.Tuple) 
 func (e *Engine) AppendResult(id QueryID, out []Entry) ([]Entry, error) {
 	q, ok := e.queries[id]
 	if !ok {
-		return out, fmt.Errorf("core: unknown query %d", id)
+		return out, unknownQuery(id)
 	}
 	return q.currentResult(out), nil
 }
@@ -570,22 +540,22 @@ func (e *Engine) releaseExpFilter() {
 func (e *Engine) Result(id QueryID) ([]Entry, error) {
 	q, ok := e.queries[id]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown query %d", id)
+		return nil, unknownQuery(id)
 	}
 	return q.currentResult(nil), nil
 }
 
 // insertBatch indexes one cycle's arrival batch and updates every query
-// whose influence list covers a touched cell (Figure 9 lines 3-7 /
+// whose influence region covers a touched cell (Figure 9 lines 3-7 /
 // Figure 11 lines 4-11). Arrivals are grouped by destination cell: the
-// grid appends each cell's share to its columnar block, and every
-// influenced query scores the whole new sub-block with one vectorized
-// kernel call instead of one interface call per tuple. Per-query outcomes
-// are order-independent within a cycle (TMA's bounded top list and the
-// threshold result set are set-semantics; SMA admissions are buffered and
-// replayed in sequence order by flushPending), so the cell-grouped order
-// produces exactly the per-arrival transcript. skip lists same-batch
-// tuple ids that must not be indexed (DeletionsFirst).
+// grid appends each cell's share to its columnar block, and probeInsert
+// scores the whole new sub-block against the influenced queries with
+// multi-query kernel calls instead of one interface call per tuple.
+// Per-query outcomes are order-independent within a cycle (TMA's bounded
+// top list and the threshold result set are set-semantics; SMA admissions
+// are buffered and replayed in sequence order by flushPending), so the
+// cell-grouped order produces exactly the per-arrival transcript. skip
+// lists same-batch tuple ids that must not be indexed (DeletionsFirst).
 //
 //topk:hot
 func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{}) {
@@ -607,35 +577,9 @@ func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{})
 	for _, idx := range e.touched {
 		from := int(e.cellMark[idx]) - 1
 		e.cellMark[idx] = 0
-		if e.qi != nil {
-			blk := e.g.CellBlockFrom(idx, from)
-			if blk.Len() > 0 {
-				e.probeInsert(idx, blk, dims)
-			}
-			continue
-		}
-		il := e.g.Influence(idx)
-		if len(il) == 0 {
-			continue
-		}
 		blk := e.g.CellBlockFrom(idx, from)
-		n := blk.Len()
-		if n == 0 {
-			continue
-		}
-		if cap(e.scoreBuf) < n {
-			e.scoreBuf = make([]float64, 0, n+n/2+8)
-		}
-		scores := e.scoreBuf[:n]
-		for _, id := range il {
-			q, ok := e.queries[id]
-			if !ok {
-				continue
-			}
-			e.stats.InfluenceEvents += int64(n)
-			q.cost += int64(n)
-			geom.ScoreBlockInto(q.spec.F, blk.Coords, dims, scores)
-			e.applyInsertBlock(q, blk, scores, dims)
+		if blk.Len() > 0 {
+			e.probeInsert(idx, blk, dims)
 		}
 	}
 	e.touched = e.touched[:0]
@@ -647,7 +591,7 @@ func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{})
 // the cluster's lowest member bound, the block is scored against up to
 // qTile members per multi-query kernel call, and each member at least
 // one of whose block scores reaches its own bound receives the scored
-// block through the same applyInsertBlock as the influence-list path.
+// block through applyInsertBlock.
 // Skipped members could not admit anything — every insert handler
 // filters on score ≥ the member's current bound (threshold, TMA kth,
 // SMA topScore), so a member none of whose scores reach it sees only
@@ -827,7 +771,7 @@ func (e *Engine) flushPending() {
 }
 
 // expireBatch removes one cycle's expiration run from the index and
-// updates the queries whose influence lists cover the touched cells
+// updates the queries whose influence regions cover the touched cells
 // (Figure 9 lines 8-11 / Figure 11 lines 12-16). Expirations are grouped
 // by cell so each influenced query handles a whole block per lookup;
 // per-event outcomes are order-independent (TMA's affected flag and the
@@ -858,20 +802,7 @@ func (e *Engine) expireBatch(expirations []*stream.Tuple) {
 	for i := 0; i < buckets; i++ {
 		b := &e.expBuckets[i]
 		e.cellMark[b.idx] = 0
-		n := int64(len(b.tuples))
-		if e.qi != nil {
-			e.probeExpire(b.idx, b.tuples)
-		} else {
-			for _, id := range e.g.Influence(b.idx) {
-				q, ok := e.queries[id]
-				if !ok {
-					continue
-				}
-				e.stats.InfluenceEvents += n
-				q.cost += n
-				e.applyExpireBlock(q, b.tuples)
-			}
-		}
+		e.probeExpire(b.idx, b.tuples)
 		// Release the tuple references so expired tuples are not pinned
 		// until the bucket's next reuse.
 		for j := range b.tuples {
@@ -1067,8 +998,9 @@ func entryBetter(a, b Entry) int {
 }
 
 // computeFromScratch runs the top-k computation module for q, refreshes the
-// policy state, registers the new influence region and prunes the stale
-// one (Figure 9 lines 13-21).
+// policy state and moves the query-index bound to the new kth score, which
+// replaces both the influence-list registration and the pruning walk of
+// Figure 9 lines 13-21.
 func (e *Engine) computeFromScratch(q *query) {
 	e.stats.Recomputes++
 	work := e.s.CellsProcessed + e.s.HeapOps
@@ -1099,65 +1031,9 @@ func (e *Engine) computeFromScratch(q *query) {
 		q.topScore = math.Inf(-1)
 	}
 	q.regScore = q.topScore
-
-	if e.qi != nil {
-		// The query index replaces both the registration loop and the
-		// pruning walk with one bound update.
-		if err := e.qi.SetBound(q.id, q.regScore); err != nil {
-			panic(err)
-		}
-		return
+	if err := e.qi.SetBound(q.id, q.regScore); err != nil {
+		panic(err)
 	}
-	// Register the new influence region...
-	for _, idx := range res.Processed {
-		e.g.AddInfluence(idx, q.id)
-	}
-	// ...and prune the stale one, walking worse-ward from the frontier
-	// cells left in the heap (Figure 9 lines 14-21). Worse-stepping only
-	// decreases maxscore, so the walk can never re-enter (and damage) the
-	// just-registered region.
-	e.walkInfluence(q, res.Frontier)
-}
-
-// walkInfluence removes q from the influence list of every cell reachable
-// from seeds through cells still holding an entry for q, stepping
-// worse-ward along every axis. It implements both the pruning walk after a
-// recomputation and the cleanup at query termination.
-//
-//topk:hot
-func (e *Engine) walkInfluence(q *query, seeds []int) {
-	e.walkGen++
-	if e.walkGen == 0 {
-		for i := range e.walkVisited {
-			e.walkVisited[i] = 0
-		}
-		e.walkGen = 1
-	}
-	queue := e.walkQueue[:0]
-	for _, idx := range seeds {
-		if e.walkVisited[idx] != e.walkGen {
-			e.walkVisited[idx] = e.walkGen
-			queue = append(queue, idx)
-		}
-	}
-	for len(queue) > 0 {
-		idx := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		e.stats.CellsWalked++
-		q.cost++
-		if !e.g.RemoveInfluence(idx, q.id) {
-			continue
-		}
-		for dim := 0; dim < e.g.Dims(); dim++ {
-			n, ok := e.g.StepWorse(idx, dim, q.spec.F.Direction(dim))
-			if !ok || e.walkVisited[n] == e.walkGen {
-				continue
-			}
-			e.walkVisited[n] = e.walkGen
-			queue = append(queue, n)
-		}
-	}
-	e.walkQueue = queue[:0]
 }
 
 func (e *Engine) markDirty(q *query) {
@@ -1254,9 +1130,7 @@ func (e *Engine) MemoryBytes() int64 {
 		total += int64(len(q.thr)) * (entrySize + mapEntrySize)
 		total += int64(len(q.lastIDs)) * (entrySize + mapEntrySize)
 	}
-	if e.qi != nil {
-		total += e.qi.MemoryBytes()
-	}
+	total += e.qi.MemoryBytes()
 	if total > e.memHW {
 		e.memHW = total
 	}

@@ -301,7 +301,7 @@ func TestBoundaryCoordinates(t *testing.T) {
 }
 
 // TestManyQueriesShareCells registers many queries with near-identical
-// functions so influence lists overlap heavily.
+// functions so influence regions overlap heavily.
 func TestManyQueriesShareCells(t *testing.T) {
 	e := mustEngine(t, Options{Dims: 2, Window: window.Count(200), TargetCells: 100})
 	var ids []QueryID

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -97,11 +98,11 @@ func TestStepErrors(t *testing.T) {
 
 func TestResultUnknownQuery(t *testing.T) {
 	e := mustEngine(t, smallOpts(2, 10))
-	if _, err := e.Result(42); err == nil {
-		t.Errorf("unknown query must fail")
+	if _, err := e.Result(42); !errors.Is(err, ErrUnknownQuery) {
+		t.Errorf("Result of unknown query: %v, want ErrUnknownQuery", err)
 	}
-	if err := e.Unregister(42); err == nil {
-		t.Errorf("unregistering unknown query must fail")
+	if err := e.Unregister(42); !errors.Is(err, ErrUnknownQuery) {
+		t.Errorf("Unregister of unknown query: %v, want ErrUnknownQuery", err)
 	}
 }
 
@@ -482,19 +483,24 @@ func TestUnregisterCleansInfluenceLists(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range ids {
-		if e.InfluenceEntriesFor(id) == 0 {
-			t.Fatalf("query %d has no influence entries before unregister", id)
-		}
+	for i, id := range ids {
 		if err := e.Unregister(id); err != nil {
 			t.Fatal(err)
 		}
-		if n := e.InfluenceEntriesFor(id); n != 0 {
-			t.Fatalf("query %d left %d influence entries after unregister", id, n)
+		// CheckInfluence requires the query index to hold exactly the
+		// registered queries, so a leftover index entry fails here.
+		if err := e.CheckInfluence(); err != nil {
+			t.Fatalf("after unregistering query %d: %v", id, err)
 		}
-	}
-	if e.Grid().TotalInfluenceEntries() != 0 {
-		t.Fatalf("stray influence entries remain: %d", e.Grid().TotalInfluenceEntries())
+		if n := e.NumQueries(); n != len(ids)-i-1 {
+			t.Fatalf("after unregistering query %d: %d queries remain, want %d", id, n, len(ids)-i-1)
+		}
+		if _, err := e.Result(id); !errors.Is(err, ErrUnknownQuery) {
+			t.Fatalf("Result of unregistered query %d: %v, want ErrUnknownQuery", id, err)
+		}
+		if err := e.Unregister(id); !errors.Is(err, ErrUnknownQuery) {
+			t.Fatalf("second Unregister of query %d: %v, want ErrUnknownQuery", id, err)
+		}
 	}
 	// The engine keeps running fine with no queries.
 	if _, err := e.Step(20, gen.Batch(10, 20)); err != nil {

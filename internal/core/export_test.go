@@ -1,33 +1,4 @@
 package core
 
-// InfluenceEntriesFor counts the cells of the query's influence region;
-// used by the unregister test. In query-index mode the region is implied by
-// the indexed bound, so it is reconstructed from the registration rule —
-// the same cardinality the influence lists would hold. (CheckInfluence
-// itself lives in invariant.go: the shard and pipeline suites verify the
-// invariant cross-package, continuously.)
-func (e *Engine) InfluenceEntriesFor(id QueryID) int {
-	count := 0
-	if e.qi != nil {
-		q, ok := e.queries[id]
-		if !ok {
-			return 0
-		}
-		r := e.scratchRect()
-		for idx := 0; idx < e.g.NumCells(); idx++ {
-			if e.ruleWants(q, idx, &r) {
-				count++
-			}
-		}
-		return count
-	}
-	for idx := 0; idx < e.g.NumCells(); idx++ {
-		if e.g.HasInfluence(idx, id) {
-			count++
-		}
-	}
-	return count
-}
-
 // TopScoreOf exposes a query's admission threshold for white-box tests.
 func (e *Engine) TopScoreOf(id QueryID) float64 { return e.queries[id].topScore }

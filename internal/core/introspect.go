@@ -21,48 +21,36 @@ type QueryInfo struct {
 	TopScore float64
 	// SkybandSize is the current skyband cardinality (SMA queries only).
 	SkybandSize int
-	// InfluenceCells counts the grid cells currently holding an entry for
-	// this query (the O(C) bookkeeping term of Section 6).
+	// InfluenceCells counts the grid cells in this query's influence
+	// region: the cells the paper's influence lists would hold an entry
+	// for (the O(C) bookkeeping term of Section 6).
 	InfluenceCells int
 	// Cost is the maintenance work attributed to this query so far:
-	// influence events examined plus the cells/heap operations of its
-	// from-scratch computations and pruning walks. Deterministic for a
-	// given stream; the shard rebalancer's input.
+	// influence events delivered to it plus the cells and heap operations
+	// of its from-scratch computations. Deterministic for a given stream;
+	// the shard rebalancer's input.
 	Cost int64
 }
 
 // Queries returns a snapshot of every registered query, ordered by id.
-// In influence-list mode it is O(Q + cells): cardinalities are gathered in
-// one pass over the grid. In query-index mode the grid holds no entries, so
-// InfluenceCells is reconstructed from the registration rule — O(Q × cells),
-// acceptable for an introspection surface and identical in value to what
-// the influence lists would report.
+// The index stores no per-cell entries, so InfluenceCells is counted from
+// the registration rule: O(Q × cells), acceptable for an introspection
+// surface.
 func (e *Engine) Queries() []QueryInfo {
-	perQuery := make(map[QueryID]int, len(e.queries))
-	if e.qi != nil {
-		r := e.scratchRect()
-		for id, q := range e.queries {
-			for idx := 0; idx < e.g.NumCells(); idx++ {
-				if e.ruleWants(q, idx, &r) {
-					perQuery[id]++
-				}
-			}
-		}
-	} else {
-		for idx := 0; idx < e.g.NumCells(); idx++ {
-			e.g.InfluenceDo(idx, func(id QueryID) bool {
-				perQuery[id]++
-				return true
-			})
-		}
-	}
+	r := e.scratchRect()
 	out := make([]QueryInfo, 0, len(e.queries))
 	for id, q := range e.queries {
+		cells := 0
+		for idx := 0; idx < e.g.NumCells(); idx++ {
+			if e.ruleWants(q, idx, &r) {
+				cells++
+			}
+		}
 		info := QueryInfo{
 			ID:             id,
 			Spec:           q.spec,
 			Kind:           "topk",
-			InfluenceCells: perQuery[id],
+			InfluenceCells: cells,
 			TopScore:       q.topScore,
 			Cost:           q.cost,
 		}
@@ -97,7 +85,7 @@ func (e *Engine) QueryInfoFor(id QueryID) (QueryInfo, error) {
 			return info, nil
 		}
 	}
-	return QueryInfo{}, fmt.Errorf("core: unknown query %d", id)
+	return QueryInfo{}, unknownQuery(id)
 }
 
 // String renders a QueryInfo for logs.

@@ -7,6 +7,7 @@ import (
 
 	"topkmon/internal/geom"
 	"topkmon/internal/stream"
+	"topkmon/internal/validate"
 	"topkmon/internal/window"
 )
 
@@ -72,10 +73,18 @@ func TestQueriesSnapshot(t *testing.T) {
 		t.Fatalf("threshold String() missing kind: %s", thq.String())
 	}
 
-	// Influence cells from the snapshot must match the white-box count.
+	// Influence cells from the snapshot must match the region computed
+	// independently from the query's bound: cells whose maxscore reaches
+	// the registration score of a top-k query, or strictly exceeds a
+	// threshold.
 	for _, info := range infos {
-		if got := e.InfluenceEntriesFor(info.ID); got != info.InfluenceCells {
-			t.Fatalf("query %d: snapshot cells %d vs grid %d", info.ID, info.InfluenceCells, got)
+		bound := e.queries[info.ID].regScore
+		if info.Kind == "threshold" {
+			bound = math.Nextafter(*info.Spec.Threshold, math.Inf(1))
+		}
+		want := validate.InfluenceCells(e.Grid().NumCells(), e.Grid().Rect, info.Spec.F, bound, info.Spec.Constraint)
+		if info.InfluenceCells != len(want) {
+			t.Fatalf("query %d: snapshot cells %d vs independent region %d", info.ID, info.InfluenceCells, len(want))
 		}
 	}
 

@@ -16,10 +16,8 @@ import (
 //	threshold queries: cells whose clipped maxscore is > the threshold.
 //
 // r is caller-provided scratch sized to the workspace dimensionality; its
-// contents are overwritten. The rule is the single source of truth for
-// both engine modes: the influence lists materialize it per (query, cell)
-// pair, the query index reproduces it from per-query bounds, and the
-// introspection surface reports it identically for either.
+// contents are overwritten. The query index reproduces the rule from
+// per-query bounds; the introspection surface counts it per query.
 func (e *Engine) ruleWants(q *query, idx int, r *geom.Rect) bool {
 	e.g.RectInto(idx, r)
 	if q.spec.Constraint != nil {
@@ -43,59 +41,35 @@ func (e *Engine) scratchRect() geom.Rect {
 	return geom.Rect{Lo: make(geom.Vector, d), Hi: make(geom.Vector, d)}
 }
 
-// CheckInfluence verifies the per-query delivery bookkeeping.
+// CheckInfluence verifies the query-index invariant: the index's internal
+// invariants hold (locator consistency, weight-envelope dominance, bound
+// ordering, cell-cache completeness), every registered query's indexed
+// bound equals its registration score (threshold queries: the threshold),
+// and the index holds exactly the registered queries.
 //
-// In influence-list mode it checks, for every registered query, that the
-// set of cells holding an entry for the query is exactly the influence
-// region given by ruleWants at the time the lists were last registered.
-//
-// In query-index mode the grid holds no influence entries at all; instead
-// the check validates the index's internal invariants (locator
-// consistency, weight-envelope dominance, bound ordering, cell-cache
-// completeness), that every query's indexed bound equals its registration
-// score (threshold queries: the threshold), and that the grid's influence
-// store is empty.
-//
-// It is O(Q × cells) and intended for continuous verification in tests:
+// It is intended for continuous verification in tests:
 // the shard monitors and the ingestion pipeline expose it as well, so
 // stress and differential suites can assert the invariant after every
 // processing cycle rather than only at end-of-run.
 func (e *Engine) CheckInfluence() error {
-	if e.qi != nil {
-		if err := e.qi.Validate(); err != nil {
-			return err
-		}
-		for id, q := range e.queries {
-			want := q.regScore
-			if q.kind == thresholdKind {
-				want = *q.spec.Threshold
-			}
-			got, ok := e.qi.BoundOf(id)
-			if !ok {
-				return fmt.Errorf("query %d: not present in the query index", id)
-			}
-			if got != want {
-				return fmt.Errorf("query %d: indexed bound %g, want %g", id, got, want)
-			}
-		}
-		if e.qi.NumQueries() != len(e.queries) {
-			return fmt.Errorf("query index holds %d queries, engine %d", e.qi.NumQueries(), len(e.queries))
-		}
-		if n := e.g.TotalInfluenceEntries(); n != 0 {
-			return fmt.Errorf("grid holds %d influence entries in query-index mode, want 0", n)
-		}
-		return nil
+	if err := e.qi.Validate(); err != nil {
+		return err
 	}
-	r := e.scratchRect()
 	for id, q := range e.queries {
-		for idx := 0; idx < e.g.NumCells(); idx++ {
-			want := e.ruleWants(q, idx, &r)
-			got := e.g.HasInfluence(idx, id)
-			if got != want {
-				return fmt.Errorf("query %d cell %d: registered=%v want %v (regScore=%g, maxscore=%g)",
-					id, idx, got, want, q.regScore, geom.MaxScore(q.spec.F, e.g.Rect(idx)))
-			}
+		want := q.regScore
+		if q.kind == thresholdKind {
+			want = *q.spec.Threshold
 		}
+		got, ok := e.qi.BoundOf(id)
+		if !ok {
+			return fmt.Errorf("query %d: not present in the query index", id)
+		}
+		if got != want {
+			return fmt.Errorf("query %d: indexed bound %g, want %g", id, got, want)
+		}
+	}
+	if e.qi.NumQueries() != len(e.queries) {
+		return fmt.Errorf("query index holds %d queries, engine %d", e.qi.NumQueries(), len(e.queries))
 	}
 	return nil
 }

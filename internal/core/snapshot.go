@@ -17,20 +17,21 @@ import (
 // What moves: the spec, the admission filters (TopScore/RegScore), the
 // policy state (TMA top list, SMA skyband with dominance counters, or the
 // threshold result set), the reporting baseline (LastReported — the result
-// as last handed to the client, which anchors future Update deltas), the
-// registered influence-cell set, and the attributed maintenance cost.
+// as last handed to the client, which anchors future Update deltas) and
+// the attributed maintenance cost.
 //
-// What is re-derived: nothing. The importing engine must already index the
-// same tuple stream under identical Options (same dimensionality, grid
-// resolution and stream mode — validated on import); tuples are carried by
-// pointer, so snapshots are only meaningful between engines fed the same
-// *stream.Tuple instances, which is exactly the query-partitioned sharded
-// monitor's broadcast invariant.
+// What is re-derived: the query-index entry, from the spec and RegScore
+// (the influence region is implied by the bound). The importing engine
+// must already index the same tuple stream under identical Options (same
+// dimensionality, grid resolution and stream mode — validated on import);
+// tuples are carried by pointer, so snapshots are only meaningful between
+// engines fed the same *stream.Tuple instances, which is exactly the
+// query-partitioned sharded monitor's broadcast invariant.
 type QuerySnapshot struct {
 	Spec QuerySpec
-	// Dims, GridRes and Mode pin the geometry and stream model the
-	// influence-cell indices and policy state refer to; ImportQuery rejects
-	// a snapshot taken under different options.
+	// Dims, GridRes and Mode pin the geometry and stream model the policy
+	// state refers to; ImportQuery rejects a snapshot taken under
+	// different options.
 	Dims    int
 	GridRes int
 	Mode    StreamMode
@@ -51,9 +52,6 @@ type QuerySnapshot struct {
 	// LastReported is the result as last reported to the client, descending
 	// total order: the baseline future Update deltas diff against.
 	LastReported []Entry
-	// InfluenceCells lists the grid cells currently holding an influence
-	// entry for the query, ascending.
-	InfluenceCells []int
 	// Cost is the accumulated attributed maintenance cost (see Stats), so
 	// cost-aware placement keeps seeing the query's history after a move.
 	Cost int64
@@ -76,7 +74,7 @@ func sortEntriesBetter(entries []Entry) {
 func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
 	q, ok := e.queries[id]
 	if !ok {
-		return QuerySnapshot{}, fmt.Errorf("core: unknown query %d", id)
+		return QuerySnapshot{}, unknownQuery(id)
 	}
 	if q.dirty || q.affected || q.skyChanged {
 		return QuerySnapshot{}, fmt.Errorf("core: query %d has unfinished cycle state; export only between cycles", id)
@@ -107,28 +105,11 @@ func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
 		snap.LastReported = append(snap.LastReported, en)
 	}
 	sortEntriesBetter(snap.LastReported)
-	if e.qi != nil {
-		// The index stores no per-cell entries; reconstruct the influence
-		// region from the registration rule so snapshots stay portable to
-		// engines running in either mode.
-		r := e.scratchRect()
-		for idx := 0; idx < e.g.NumCells(); idx++ {
-			if e.ruleWants(q, idx, &r) {
-				snap.InfluenceCells = append(snap.InfluenceCells, idx)
-			}
-		}
-	} else {
-		for idx := 0; idx < e.g.NumCells(); idx++ {
-			if e.g.HasInfluence(idx, id) {
-				snap.InfluenceCells = append(snap.InfluenceCells, idx)
-			}
-		}
-	}
 	return snap, nil
 }
 
 // ImportQuery installs a query from a snapshot, assigning it a fresh local
-// id and registering its influence cells, without running any computation:
+// id and indexing it at its bound, without running any computation:
 // the imported query resumes exactly where the exported one stopped. The
 // engine must have been constructed with the same workspace dimensionality,
 // grid resolution and stream mode, and must index the same tuple stream as
@@ -158,11 +139,6 @@ func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 	}
 	if snap.Mode != e.opts.Mode {
 		return fmt.Errorf("core: snapshot stream mode %v != engine %v", snap.Mode, e.opts.Mode)
-	}
-	for _, idx := range snap.InfluenceCells {
-		if idx < 0 || idx >= e.g.NumCells() {
-			return fmt.Errorf("core: snapshot influence cell %d outside grid of %d cells", idx, e.g.NumCells())
-		}
 	}
 
 	q := &query{
@@ -213,21 +189,14 @@ func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 	if q.sky != nil {
 		e.numSMA++
 	}
-	if e.qi != nil {
-		// The snapshot's cell list is implied by the bound; index the query
-		// directly at its registration score (threshold queries: the fixed
-		// threshold).
-		bound := snap.RegScore
-		if q.kind == thresholdKind {
-			bound = *snap.Spec.Threshold
-		}
-		if err := e.qi.Add(q.id, snap.Spec.F, bound); err != nil {
-			panic(err)
-		}
-	} else {
-		for _, idx := range snap.InfluenceCells {
-			e.g.AddInfluence(idx, q.id)
-		}
+	// Index the query at its registration score (threshold queries: the
+	// fixed threshold).
+	bound := snap.RegScore
+	if q.kind == thresholdKind {
+		bound = *snap.Spec.Threshold
+	}
+	if err := e.qi.Add(q.id, snap.Spec.F, bound); err != nil {
+		panic(err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -71,7 +72,7 @@ func renderUpdates(updates []Update) string {
 // TestSnapshotRoundTrip: a query exported mid-run and imported into a
 // second engine that indexed the same stream behaves byte-identically to
 // the query that never moved, for every query flavor: same updates every
-// remaining cycle, same final result, same influence-list invariant, and
+// remaining cycle, same final result, same query-index invariant, and
 // the attributed cost carries over.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range snapshotCases() {
@@ -174,8 +175,8 @@ func TestSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ExportQuery(42); err == nil {
-		t.Fatal("export of unknown query should fail")
+	if _, err := e.ExportQuery(42); !errors.Is(err, ErrUnknownQuery) {
+		t.Fatalf("export of unknown query: %v, want ErrUnknownQuery", err)
 	}
 	id, err := e.Register(QuerySpec{F: geom.NewLinear(1, 1), K: 3, Policy: TMA})
 	if err != nil {
@@ -204,16 +205,18 @@ func TestSnapshotValidation(t *testing.T) {
 		}
 	}
 
-	// A malformed snapshot (stale influence cell from a bigger grid) is
-	// rejected before touching engine state.
+	// A malformed snapshot (non-positive K) is rejected before touching
+	// engine state.
 	bad := snap
-	bad.InfluenceCells = append([]int(nil), snap.InfluenceCells...)
-	bad.InfluenceCells[0] = 1 << 30
+	bad.Spec.K = 0
 	same, err := NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := same.ImportQuery(bad); err == nil {
-		t.Fatal("out-of-grid influence cell should be rejected")
+		t.Fatal("snapshot with K=0 should be rejected")
+	}
+	if err := same.CheckInfluence(); err != nil || same.NumQueries() != 0 {
+		t.Fatalf("rejected import left state behind: %d queries, %v", same.NumQueries(), err)
 	}
 }

@@ -1,6 +1,7 @@
 // Package core implements the continuous top-k monitoring engine of the
 // paper: the query table, the processing cycle (arrivals before
-// expirations, Section 4.3), lazy influence-list maintenance, and the two
+// expirations, Section 4.3), event delivery through the shared query
+// index (internal/qindex) in place of per-cell influence lists, and the two
 // monitoring policies — TMA (Top-k Monitoring Algorithm, Figure 9) and SMA
 // (Skyband Monitoring Algorithm, Figure 11) — plus the constrained,
 // threshold and update-stream extensions of Section 7.
@@ -15,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"topkmon/internal/geom"
@@ -25,6 +27,15 @@ import (
 
 // QueryID identifies a registered query.
 type QueryID = grid.QueryID
+
+// ErrUnknownQuery reports an operation on a query id that is not
+// registered: never registered, already unregistered, or (on a sharded
+// monitor) migrated away mid-call. Every monitor wraps it, so callers test
+// with errors.Is.
+var ErrUnknownQuery = errors.New("unknown query")
+
+// unknownQuery wraps ErrUnknownQuery with the engine prefix and the id.
+func unknownQuery(id QueryID) error { return fmt.Errorf("core: %w %d", ErrUnknownQuery, id) }
 
 // Policy selects the maintenance algorithm for a top-k query.
 type Policy int
@@ -193,15 +204,6 @@ type Options struct {
 	// recomputations become more frequent. This exists purely as an
 	// ablation of the design decision; leave it false in production.
 	DeletionsFirst bool
-	// DisableQueryIndex falls back to the per-query influence lists of
-	// the paper (each query registered on every cell of its influence
-	// region) instead of the shared query index. The index is the
-	// default: it collapses the O(queries × cells) influence memory to
-	// O(queries + cells) and makes per-cycle cost sublinear in the query
-	// count for clustered workloads. Results are byte-identical either
-	// way; this switch exists for comparison runs and as an escape
-	// hatch.
-	DisableQueryIndex bool
 	// ExternalExpiry hands window management to the caller: the engine
 	// holds no window of its own and cycles run through StepExternal, which
 	// receives the expiring tuples alongside the arrivals. Expirations must
@@ -245,8 +247,9 @@ type Stats struct {
 	// Arrivals and Expirations count processed stream events.
 	Arrivals    int64
 	Expirations int64
-	// InfluenceEvents counts (event, query) pairs examined because the
-	// event fell in a cell of the query's influence list.
+	// InfluenceEvents counts (event, query) pairs the query index
+	// delivered: events in a cell of the query's influence region that
+	// survived the index's bound filters.
 	InfluenceEvents int64
 	// Recomputes counts from-scratch top-k computations triggered by
 	// maintenance (excluding initial registrations).
@@ -259,8 +262,10 @@ type Stats struct {
 	// computations — with CellsProcessed, the per-computation work measure
 	// behind per-query cost attribution (shard rebalancing).
 	HeapOps int64
-	// CellsWalked counts cells visited by influence-list pruning walks
-	// (after recomputations and at query termination).
+	// CellsWalked is always 0. It counted the cells visited by the
+	// influence-list pruning walks of the paper's per-cell bookkeeping,
+	// which the query index replaced; the field stays so existing
+	// readers of Stats keep compiling.
 	CellsWalked int64
 	// SkybandSizeSum / SkybandSamples track the per-cycle skyband sizes of
 	// SMA queries (Table 2).

@@ -338,7 +338,7 @@ type ReplayConfig struct {
 	// must be a *pipeline.Pipeline-compatible Ingester); nil updates are
 	// collected from the Updates channel by a consumer goroutine.
 	Ingester Ingester
-	// CheckInvariants runs the influence-list invariant checker after
+	// CheckInvariants runs the query-index invariant checker after
 	// every cycle when the monitor exposes one.
 	CheckInvariants bool
 	// PostCycle, when non-nil, runs after every processing cycle (before

@@ -68,14 +68,6 @@ func sync(build func(opts core.Options) (core.StreamMonitor, error)) func(core.O
 
 func engineBuild(opts core.Options) (core.StreamMonitor, error) { return core.NewEngine(opts) }
 
-// legacyBuild runs the single engine with the shared query index disabled
-// — per-cell influence lists, the paper's original bookkeeping. Keeping it
-// in the matrix makes every scenario a direct index-vs-influence-list
-// differential on top of the naive reference.
-func legacyBuild(opts core.Options) (core.StreamMonitor, error) {
-	opts.DisableQueryIndex = true
-	return core.NewEngine(opts)
-}
 func shardedBuild(n int) func(core.Options) (core.StreamMonitor, error) {
 	return func(opts core.Options) (core.StreamMonitor, error) { return shard.New(opts, n) }
 }
@@ -104,7 +96,6 @@ func rebalancedBuild(n int) func(core.Options) (core.StreamMonitor, error) {
 func allModes() []execMode {
 	return []execMode{
 		{name: "engine", build: sync(engineBuild)},
-		{name: "legacy-influence-engine", build: sync(legacyBuild)},
 		{name: "query-sharded-3", build: sync(shardedBuild(diffShards))},
 		{name: "data-sharded-3", build: sync(dataShardedBuild(diffShards))},
 		{name: "rebalanced-query-sharded-3", build: sync(rebalancedBuild(diffShards)), forceMigrate: true},
@@ -117,7 +108,7 @@ func allModes() []execMode {
 
 // runDifferential replays the scenario derived from seed through the
 // naive reference and every execution mode, asserting byte-identical
-// transcripts. checkInvariants additionally runs the influence-list
+// transcripts. checkInvariants additionally runs the query-index
 // checker after every cycle of the synchronous grid modes.
 func runDifferential(t *testing.T, seed int64, checkInvariants bool) {
 	t.Helper()

@@ -124,90 +124,3 @@ func TestCellBlockColumnsParallel(t *testing.T) {
 		}
 	}
 }
-
-// TestInfluenceListMatchesMapSemantics is the sorted-small-slice property
-// test: under random add/remove/has/iterate sequences the influence list
-// must agree with the reference hash-set semantics the engine was built
-// against, and iteration must visit ascending, duplicate-free query ids.
-func TestInfluenceListMatchesMapSemantics(t *testing.T) {
-	g := New(2, 3, FIFO)
-	const cells = 9
-	model := make([]map[QueryID]struct{}, cells)
-	for i := range model {
-		model[i] = make(map[QueryID]struct{})
-	}
-	rng := rand.New(rand.NewSource(99))
-	for op := 0; op < 20000; op++ {
-		idx := rng.Intn(cells)
-		q := QueryID(rng.Intn(24))
-		switch rng.Intn(4) {
-		case 0:
-			g.AddInfluence(idx, q)
-			model[idx][q] = struct{}{}
-		case 1:
-			_, want := model[idx][q]
-			delete(model[idx], q)
-			if got := g.RemoveInfluence(idx, q); got != want {
-				t.Fatalf("op %d: RemoveInfluence(%d, %d) = %v want %v", op, idx, q, got, want)
-			}
-		case 2:
-			_, want := model[idx][q]
-			if got := g.HasInfluence(idx, q); got != want {
-				t.Fatalf("op %d: HasInfluence(%d, %d) = %v want %v", op, idx, q, got, want)
-			}
-		default:
-			if got, want := g.InfluenceLen(idx), len(model[idx]); got != want {
-				t.Fatalf("op %d: InfluenceLen(%d) = %d want %d", op, idx, got, want)
-			}
-			var seen []QueryID
-			g.InfluenceDo(idx, func(id QueryID) bool {
-				seen = append(seen, id)
-				return true
-			})
-			if len(seen) != len(model[idx]) {
-				t.Fatalf("op %d: iterated %d entries want %d", op, len(seen), len(model[idx]))
-			}
-			for i, id := range seen {
-				if _, ok := model[idx][id]; !ok {
-					t.Fatalf("op %d: iterated unexpected query %d", op, id)
-				}
-				if i > 0 && seen[i-1] >= id {
-					t.Fatalf("op %d: iteration not strictly ascending: %v", op, seen)
-				}
-			}
-		}
-	}
-	want := 0
-	for i := range model {
-		want += len(model[i])
-	}
-	if got := g.TotalInfluenceEntries(); got != want {
-		t.Fatalf("TotalInfluenceEntries = %d want %d", got, want)
-	}
-}
-
-// TestInfluenceSliceAliasing pins the Influence accessor contract: the
-// returned slice reflects the live list and iterates ascending.
-func TestInfluenceSliceAliasing(t *testing.T) {
-	g := New(2, 3, FIFO)
-	for _, q := range []QueryID{9, 3, 14, 3, 7} {
-		g.AddInfluence(4, q)
-	}
-	want := []QueryID{3, 7, 9, 14}
-	got := g.Influence(4)
-	if len(got) != len(want) {
-		t.Fatalf("Influence = %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Influence = %v want %v", got, want)
-		}
-	}
-	g.RemoveInfluence(4, 9)
-	if g.InfluenceLen(4) != 3 || g.HasInfluence(4, 9) {
-		t.Fatal("removal not reflected")
-	}
-	if g.Influence(0) != nil {
-		t.Fatalf("empty cell influence = %v want nil", g.Influence(0))
-	}
-}

@@ -11,13 +11,11 @@
 //     hit a cell in first-in-first-out order, so the block is a deque with
 //     O(1) operations at both ends. Under the update-stream model of
 //     Section 7 (explicit deletions) an id->slot hash locates victims and
-//     deletion swaps the last slot in, keeping the block dense;
-//   - an influence list IL_c: a sorted small-slice with an entry for every
-//     query whose influence region intersects the cell (binary-search
-//     add/remove, linear iterate — cheaper than a hash set at the observed
-//     fan-outs and deterministic to iterate). Influence lists are
-//     maintained lazily by the monitoring algorithms, exactly as in the
-//     paper.
+//     deletion swaps the last slot in, keeping the block dense.
+//
+// The paper's per-cell influence lists are not stored here: the engine
+// delivers events through the shared query index (internal/qindex),
+// which derives each query's influence region from its bound.
 //
 // The grid also provides the cell geometry needed by the top-k computation
 // module: cell lookup in O(1) from a point, cell rectangles, the best-corner
@@ -36,14 +34,13 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"topkmon/internal/geom"
 	"topkmon/internal/stream"
 )
 
-// QueryID identifies a registered monitoring query in influence lists and
-// the query table.
+// QueryID identifies a registered monitoring query in the query table and
+// the query index.
 type QueryID uint32
 
 // Mode selects the point-list representation.
@@ -73,7 +70,7 @@ func (m Mode) String() string {
 	}
 }
 
-// cell is one grid cell: the columnar point block plus the influence list.
+// cell is one grid cell: the columnar point block.
 // Live slots occupy positions [head, len); FIFO expiration advances head,
 // Random-mode deletion swap-fills from the tail (head stays 0 there).
 type cell struct {
@@ -85,8 +82,6 @@ type cell struct {
 	head   int
 	// Random mode: id -> absolute slot position in the columns.
 	slot map[uint64]int
-	// Influence list: query ids in ascending order.
-	infl []QueryID
 }
 
 // len reports the number of live slots.
@@ -514,92 +509,14 @@ func (g *Grid) CellCapBytes(idx int) int64 {
 // drained and released its block.
 func (g *Grid) MaxCellBytesHighWater() int64 { return g.maxCellBytesHW }
 
-// inflFind returns the position of q in cell c's influence list, or the
-// insertion position with ok=false.
-func inflFind(infl []QueryID, q QueryID) (int, bool) {
-	pos := sort.Search(len(infl), func(i int) bool { return infl[i] >= q })
-	return pos, pos < len(infl) && infl[pos] == q
-}
-
-// AddInfluence records query q in the influence list of cell idx.
-func (g *Grid) AddInfluence(idx int, q QueryID) {
-	c := &g.cells[idx]
-	pos, ok := inflFind(c.infl, q)
-	if ok {
-		return
-	}
-	c.infl = append(c.infl, 0)
-	copy(c.infl[pos+1:], c.infl[pos:])
-	c.infl[pos] = q
-}
-
-// RemoveInfluence deletes query q from the influence list of cell idx,
-// reporting whether an entry existed. A list that empties releases its
-// backing array.
-func (g *Grid) RemoveInfluence(idx int, q QueryID) bool {
-	c := &g.cells[idx]
-	pos, ok := inflFind(c.infl, q)
-	if !ok {
-		return false
-	}
-	copy(c.infl[pos:], c.infl[pos+1:])
-	c.infl = c.infl[:len(c.infl)-1]
-	if len(c.infl) == 0 {
-		c.infl = nil
-	}
-	return true
-}
-
-// HasInfluence reports whether query q is in the influence list of cell
-// idx.
-func (g *Grid) HasInfluence(idx int, q QueryID) bool {
-	_, ok := inflFind(g.cells[idx].infl, q)
-	return ok
-}
-
-// Influence returns cell idx's influence list: query ids in ascending
-// order. The slice is the internal one — callers must not mutate it and
-// must not hold it across AddInfluence/RemoveInfluence calls. This is the
-// engine's hot-path accessor; InfluenceDo wraps it for callers that prefer
-// a callback.
-func (g *Grid) Influence(idx int) []QueryID {
-	return g.cells[idx].infl
-}
-
-// InfluenceDo calls fn for every query in the influence list of cell idx,
-// in ascending query-id order, until fn returns false. Callers must not
-// mutate the list during iteration; the engine collects affected queries
-// first and processes them after.
-func (g *Grid) InfluenceDo(idx int, fn func(QueryID) bool) {
-	for _, q := range g.cells[idx].infl {
-		if !fn(q) {
-			return
-		}
-	}
-}
-
-// InfluenceLen returns the influence-list cardinality of cell idx.
-func (g *Grid) InfluenceLen(idx int) int { return len(g.cells[idx].infl) }
-
-// TotalInfluenceEntries sums influence-list cardinalities over all cells —
-// the O(Q*C) bookkeeping term of the space analysis (Section 6).
-func (g *Grid) TotalInfluenceEntries() int {
-	total := 0
-	for i := range g.cells {
-		total += len(g.cells[i].infl)
-	}
-	return total
-}
-
 // MemoryBytes estimates the index footprint: the cell directory, the
 // columnar point blocks (coordinates, ids, sequences, timestamps and tuple
-// pointers at reserved capacity), the influence-list entries, and the
-// tuple payloads (id + d float64 attributes + seq + timestamp), mirroring
-// the O(N*(d+1) + Q*C) terms of Section 6.
+// pointers at reserved capacity), and the tuple payloads (id + d float64
+// attributes + seq + timestamp), mirroring the O(N*(d+1)) term of
+// Section 6.
 func (g *Grid) MemoryBytes() int64 {
 	const (
-		cellOverhead  = int64(160) // five column headers + head + map/list pointers
-		inflEntrySize = int64(4)   // one QueryID in the sorted slice
+		cellOverhead  = int64(136) // five column headers + head + map pointer
 		slotEntrySize = int64(24)  // id->slot entry incl. bucket overhead
 	)
 	total := int64(len(g.cells)) * cellOverhead
@@ -609,7 +526,6 @@ func (g *Grid) MemoryBytes() int64 {
 		if g.mode == Random {
 			total += int64(len(c.slot)) * slotEntrySize
 		}
-		total += int64(cap(c.infl)) * inflEntrySize
 	}
 	// Tuple payloads: ID + Seq + TS + vector header and data.
 	tupleSize := int64(8+8+8+24) + int64(g.dims)*8

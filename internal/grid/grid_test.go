@@ -296,38 +296,6 @@ func TestPointsDoEarlyStop(t *testing.T) {
 	}
 }
 
-func TestInfluenceLists(t *testing.T) {
-	g := New(2, 3, FIFO)
-	g.AddInfluence(4, 7)
-	g.AddInfluence(4, 9)
-	g.AddInfluence(5, 7)
-	if !g.HasInfluence(4, 7) || g.HasInfluence(4, 8) {
-		t.Fatalf("HasInfluence wrong")
-	}
-	if g.InfluenceLen(4) != 2 || g.InfluenceLen(5) != 1 || g.InfluenceLen(0) != 0 {
-		t.Fatalf("influence lens wrong")
-	}
-	if g.TotalInfluenceEntries() != 3 {
-		t.Fatalf("total=%d", g.TotalInfluenceEntries())
-	}
-	var qs []QueryID
-	g.InfluenceDo(4, func(q QueryID) bool { qs = append(qs, q); return true })
-	if len(qs) != 2 {
-		t.Fatalf("influence iteration: %v", qs)
-	}
-	if !g.RemoveInfluence(4, 7) || g.RemoveInfluence(4, 7) {
-		t.Fatalf("RemoveInfluence semantics")
-	}
-	if g.TotalInfluenceEntries() != 2 {
-		t.Fatalf("total after removal=%d", g.TotalInfluenceEntries())
-	}
-	// Re-adding after removal works (lazy map reuse).
-	g.AddInfluence(4, 7)
-	if !g.HasInfluence(4, 7) {
-		t.Fatalf("re-add failed")
-	}
-}
-
 func TestFIFOChurnCompaction(t *testing.T) {
 	g := New(1, 1, FIFO)
 	var queue []*stream.Tuple
@@ -359,12 +327,6 @@ func TestMemoryBytesGrowsWithContent(t *testing.T) {
 	withPoints := g.MemoryBytes()
 	if withPoints <= empty {
 		t.Fatalf("memory should grow with points: %d vs %d", withPoints, empty)
-	}
-	for q := QueryID(0); q < 50; q++ {
-		g.AddInfluence(3, q)
-	}
-	if g.MemoryBytes() <= withPoints {
-		t.Fatalf("memory should grow with influence entries")
 	}
 }
 

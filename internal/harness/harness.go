@@ -156,10 +156,6 @@ type Config struct {
 	// matching regime, where most cycles deliver nothing to most
 	// queries). Grid algorithms only; K/ZipfK are ignored.
 	ThresholdFrac float64
-	// DisableQueryIndex runs the grid engines on per-query influence
-	// lists (the paper's original bookkeeping) instead of the shared
-	// query index — the comparison leg of the query-count sweeps.
-	DisableQueryIndex bool
 	// Placement names the query placement policy for query-partitioned
 	// sharded runs: "hash" (default) or "least-loaded".
 	Placement string
@@ -231,8 +227,8 @@ func (c Config) Validate() error {
 	if (c.Placement != "" || c.RebalanceInterval > 0) && (c.Shards <= 1 || c.DataPartition) {
 		return fmt.Errorf("harness: Placement/RebalanceInterval require Shards > 1 with query partitioning")
 	}
-	if (c.ThresholdFrac > 0 || c.NearDupQueries || c.DisableQueryIndex) && c.Algo == AlgoTSL {
-		return fmt.Errorf("harness: ThresholdFrac/NearDupQueries/DisableQueryIndex apply to the grid algorithms only")
+	if (c.ThresholdFrac > 0 || c.NearDupQueries) && c.Algo == AlgoTSL {
+		return fmt.Errorf("harness: ThresholdFrac/NearDupQueries apply to the grid algorithms only")
 	}
 	if c.CheckpointDir != "" && c.Algo == AlgoTSL {
 		return fmt.Errorf("harness: CheckpointDir applies to the grid algorithms only")
@@ -345,12 +341,11 @@ func NewMonitor(cfg Config) (core.Monitor, *stream.Generator, int64, error) {
 		mon = m
 	case AlgoTMA, AlgoSMA:
 		opts := core.Options{
-			Dims:              cfg.Dims,
-			Window:            window.Count(cfg.N),
-			GridRes:           cfg.GridRes,
-			TargetCells:       cfg.TargetCells,
-			DeletionsFirst:    cfg.DeletionsFirst,
-			DisableQueryIndex: cfg.DisableQueryIndex,
+			Dims:           cfg.Dims,
+			Window:         window.Count(cfg.N),
+			GridRes:        cfg.GridRes,
+			TargetCells:    cfg.TargetCells,
+			DeletionsFirst: cfg.DeletionsFirst,
 		}
 		if cfg.Shards > 1 && cfg.DataPartition {
 			s, err := shard.NewData(opts, cfg.Shards)

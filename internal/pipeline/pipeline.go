@@ -886,7 +886,7 @@ func (p *Pipeline) Now() int64 {
 	return now
 }
 
-// CheckInfluence verifies the influence-list invariant on the wrapped
+// CheckInfluence verifies the query-index invariant on the wrapped
 // monitor behind a barrier, so stress tests can assert it between cycles
 // while ingestion continues around them. Monitors without an invariant
 // checker report nil.

@@ -379,7 +379,7 @@ func TestPreFailureDeliveriesSurvive(t *testing.T) {
 // the pipeline: churners register, read and unregister queries and issue
 // flushes while a producer ingests cycles, over the pipelined sharded
 // monitor; the run ends with Close racing in-flight ingestion. The
-// influence-list invariant is verified behind the pipeline barrier every
+// query-index invariant is verified behind the pipeline barrier every
 // few cycles, continuously rather than only at end-of-run.
 func TestConcurrentLifecycleStress(t *testing.T) {
 	for _, mode := range []string{"query-part", "data-part"} {

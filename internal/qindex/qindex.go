@@ -1,4 +1,4 @@
-// Package qindex is the query index: the dual of the grid's per-cell
+// Package qindex is the query index: the dual of the paper's per-cell
 // influence lists. Instead of every query registering itself on every
 // cell of its influence region (O(queries × cells) memory, rebuilt by
 // walks on every recomputation), queries of the same preference-function

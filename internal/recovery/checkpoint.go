@@ -33,8 +33,9 @@ import (
 const (
 	ckptMagic = "TOPKCKPT"
 	// ckptVersion 2 added the layoutDataSharded tuple-routing sections
-	// (bucket table + divergent placements).
-	ckptVersion = 2
+	// (bucket table + divergent placements). Version 3 dropped the
+	// query-index option byte and the per-query influence-cell list.
+	ckptVersion = 3
 	// ckptHeaderSize is magic + version + payload length.
 	ckptHeaderSize = len(ckptMagic) + 2 + 8
 	manifestName   = "MANIFEST.ckpt"

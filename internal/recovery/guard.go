@@ -364,7 +364,7 @@ func (g *Guard) NumQueries() int { return g.inner.NumQueries() }
 // Now implements core.StreamMonitor.
 func (g *Guard) Now() int64 { return g.inner.Now() }
 
-// CheckInfluence forwards the influence-list invariant check.
+// CheckInfluence forwards the query-index invariant check.
 func (g *Guard) CheckInfluence() error {
 	if c, ok := g.inner.(interface{ CheckInfluence() error }); ok {
 		return c.CheckInfluence()

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -494,6 +495,25 @@ func TestRestoreErrors(t *testing.T) {
 		}
 		buf[len(ckptMagic)] = 0xfe // version field
 		buf[len(ckptMagic)+1] = 0xca
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Restore(dir, RestoreOptions{}); !errors.Is(err, ErrVersion) {
+			t.Fatalf("got %v, want ErrVersion", err)
+		}
+	})
+
+	// A lineage written by the previous format (version 2 carried an
+	// option byte and per-query influence-cell lists) must fail typed,
+	// not decode garbage.
+	t.Run("previous-version", func(t *testing.T) {
+		dir := freshLineage(t)
+		path := filepath.Join(dir, manifestName)
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(buf[len(ckptMagic):], ckptVersion-1)
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -258,20 +258,18 @@ func encodeOptions(e *enc, o core.Options) {
 	e.uvarint(uint64(o.GridRes))
 	e.uvarint(uint64(o.TargetCells))
 	e.boolean(o.DeletionsFirst)
-	e.boolean(o.DisableQueryIndex)
 	e.boolean(o.ExternalExpiry)
 }
 
 func decodeOptions(d *dec) core.Options {
 	return core.Options{
-		Dims:              int(d.uvarint()),
-		Window:            window.Spec{Kind: window.Kind(d.u8()), N: int(d.uvarint()), Span: d.varint()},
-		Mode:              core.StreamMode(d.u8()),
-		GridRes:           int(d.uvarint()),
-		TargetCells:       int(d.uvarint()),
-		DeletionsFirst:    d.boolean(),
-		DisableQueryIndex: d.boolean(),
-		ExternalExpiry:    d.boolean(),
+		Dims:           int(d.uvarint()),
+		Window:         window.Spec{Kind: window.Kind(d.u8()), N: int(d.uvarint()), Span: d.varint()},
+		Mode:           core.StreamMode(d.u8()),
+		GridRes:        int(d.uvarint()),
+		TargetCells:    int(d.uvarint()),
+		DeletionsFirst: d.boolean(),
+		ExternalExpiry: d.boolean(),
 	}
 }
 
@@ -293,13 +291,6 @@ func encodeSnapshot(e *enc, snap core.QuerySnapshot) error {
 	}
 	encodeEntries(e, snap.Threshold)
 	encodeEntries(e, snap.LastReported)
-	// Influence cells ascend; delta-encode them.
-	e.uvarint(uint64(len(snap.InfluenceCells)))
-	prev := 0
-	for _, idx := range snap.InfluenceCells {
-		e.uvarint(uint64(idx - prev))
-		prev = idx
-	}
 	e.varint(snap.Cost)
 	return nil
 }
@@ -333,15 +324,6 @@ func decodeSnapshot(d *dec, r resolver) core.QuerySnapshot {
 	}
 	snap.Threshold = decodeEntries(d, r)
 	snap.LastReported = decodeEntries(d, r)
-	nCells := d.count(1)
-	if d.err != nil {
-		return snap
-	}
-	prev := 0
-	for i := 0; i < nCells; i++ {
-		prev += int(d.uvarint())
-		snap.InfluenceCells = append(snap.InfluenceCells, prev)
-	}
 	snap.Cost = d.varint()
 	return snap
 }

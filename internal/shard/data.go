@@ -384,7 +384,7 @@ func (d *DataSharded) Unregister(id core.QueryID) error {
 	}
 	d.qmu.Unlock()
 	if !ok {
-		return fmt.Errorf("shard: unknown query %d", id)
+		return unknownQuery(id)
 	}
 	errs := make([]error, len(d.workers))
 	var wg sync.WaitGroup
@@ -418,7 +418,7 @@ func (d *DataSharded) Result(id core.QueryID) ([]core.Entry, error) {
 	st, ok := d.queries[id]
 	d.qmu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("shard: unknown query %d", id)
+		return nil, unknownQuery(id)
 	}
 	return d.mergedResult(id, st.limit()), nil
 }
@@ -679,7 +679,7 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 	return updates, nil
 }
 
-// CheckInfluence verifies the influence-list invariant on every shard
+// CheckInfluence verifies the query-index invariant on every shard
 // engine, continuously checkable from stress and differential tests (see
 // checkInfluenceAll in shard.go).
 func (d *DataSharded) CheckInfluence() error {
@@ -705,7 +705,6 @@ func (d *DataSharded) Stats() core.Stats {
 		agg.InitialComputations += st.InitialComputations
 		agg.CellsProcessed += st.CellsProcessed
 		agg.HeapOps += st.HeapOps
-		agg.CellsWalked += st.CellsWalked
 		agg.SkybandSizeSum += st.SkybandSizeSum
 		agg.SkybandSamples += st.SkybandSamples
 		agg.MemoryHighWater += st.MemoryHighWater

@@ -157,7 +157,7 @@ func (d *DataSharded) rebalanceLocked() {
 		w.jobs <- func() {
 			defer wg.Done()
 			st := w.eng.Stats()
-			work[i] = st.InfluenceEvents + st.CellsProcessed + st.HeapOps + st.CellsWalked
+			work[i] = st.InfluenceEvents + st.CellsProcessed + st.HeapOps
 			mem[i] = w.eng.MemoryBytes() + st.MaxCellBytesHighWater
 		}
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -17,8 +18,8 @@ import (
 // Result and Stats all run concurrently, with the auto-rebalancer armed on
 // top. Under -race this is the memory-safety proof for live migration; the
 // functional anchor is CheckInfluence after every cycle — a half-moved
-// query (on zero or two engines, or with a torn influence-cell set) breaks
-// the invariant immediately.
+// query (on zero or two engines, or indexed at a torn bound) breaks the
+// invariant immediately.
 func TestMigrationConcurrencyStress(t *testing.T) {
 	const (
 		dims     = 3
@@ -46,7 +47,7 @@ func TestMigrationConcurrencyStress(t *testing.T) {
 	}
 
 	// Shared pool of live query ids the movers pick targets from. Movers
-	// race with churners unregistering, so "unknown query" is an expected
+	// race with churners unregistering, so ErrUnknownQuery is an expected
 	// benign outcome for them.
 	var poolMu sync.Mutex
 	var pool []core.QueryID
@@ -134,7 +135,7 @@ func TestMigrationConcurrencyStress(t *testing.T) {
 				switch {
 				case err == nil:
 					migrated.Add(1)
-				case err.Error() == fmt.Sprintf("shard: unknown query %d", id):
+				case errors.Is(err, core.ErrUnknownQuery):
 					// Lost the race with an Unregister — expected.
 				default:
 					errc <- err
@@ -199,5 +200,52 @@ func TestMigrationConcurrencyStress(t *testing.T) {
 	}
 	if total != 0 {
 		t.Fatalf("shard engines still own %d queries after full churn", total)
+	}
+}
+
+// TestResultDuringMigrationStress pins the router's stale-route retry:
+// Result reads a query's route without holding the router lock across the
+// worker call, so a migration can move the query in between. One reader
+// polls Result while a mover bounces the same query between shards; every
+// Result must succeed.
+func TestResultDuringMigrationStress(t *testing.T) {
+	const (
+		dims   = 2
+		shards = 3
+		moves  = 2000
+	)
+	sh, err := New(core.Options{Dims: dims, Window: window.Count(200), TargetCells: 16}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	gen := stream.NewGenerator(stream.IND, dims, 5)
+	if _, err := sh.Step(0, gen.Batch(200, 0)); err != nil {
+		t.Fatal(err)
+	}
+	id, err := sh.Register(core.QuerySpec{F: stream.NewQueryGenerator(stream.FuncLinear, dims, 6).Next(), K: 3, Policy: core.TMA})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	errc := make(chan error, 1)
+	go func() {
+		defer close(errc)
+		for !stop.Load() {
+			if _, err := sh.Result(id); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < moves; i++ {
+		if err := sh.MigrateQuery(id, i%shards); err != nil {
+			t.Fatalf("move %d: %v", i, err)
+		}
+	}
+	stop.Store(true)
+	if err := <-errc; err != nil {
+		t.Fatalf("Result during migration: %v", err)
 	}
 }

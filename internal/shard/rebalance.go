@@ -182,7 +182,7 @@ func (s *Sharded) migrateDrained(id core.QueryID, target int) error {
 	defer s.mu.Unlock()
 	r, ok := s.routes[id]
 	if !ok {
-		return fmt.Errorf("shard: unknown query %d", id)
+		return unknownQuery(id)
 	}
 	if r.shard == target {
 		return nil

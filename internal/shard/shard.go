@@ -409,6 +409,10 @@ func (s *Sharded) Unregister(id core.QueryID) error {
 	if s.closed {
 		return ErrStopped
 	}
+	// The route is removed under s.mu before the worker call. A migration
+	// holds s.mu for its whole move and needs the route, so none can move
+	// the query between this read and the call below: unlike Result,
+	// Unregister never sees a stale route.
 	s.mu.Lock()
 	r, ok := s.routes[id]
 	if ok {
@@ -417,7 +421,7 @@ func (s *Sharded) Unregister(id core.QueryID) error {
 	}
 	s.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("shard: unknown query %d", id)
+		return unknownQuery(id)
 	}
 	w := s.workers[r.shard]
 	var err error
@@ -435,19 +439,39 @@ func (s *Sharded) Result(id core.QueryID) ([]core.Entry, error) {
 	if s.closed {
 		return nil, ErrStopped
 	}
+	// s.mu is not held across the worker call, so a concurrent migration
+	// can move the query after the route is read; the old engine then
+	// reports ErrUnknownQuery. Re-read the route and retry while it keeps
+	// changing. Every retry follows a completed migration, so the loop
+	// ends as soon as migrations stop racing the call.
 	s.mu.Lock()
 	r, ok := s.routes[id]
 	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("shard: unknown query %d", id)
+	for ok {
+		w := s.workers[r.shard]
+		var res []core.Entry
+		var err error
+		w.call(func() {
+			res, err = w.eng.Result(r.local)
+		})
+		if !errors.Is(err, core.ErrUnknownQuery) {
+			return res, err
+		}
+		prev := r
+		s.mu.Lock()
+		r, ok = s.routes[id]
+		s.mu.Unlock()
+		if ok && r == prev {
+			return nil, err
+		}
 	}
-	w := s.workers[r.shard]
-	var res []core.Entry
-	var err error
-	w.call(func() {
-		res, err = w.eng.Result(r.local)
-	})
-	return res, err
+	return nil, unknownQuery(id)
+}
+
+// unknownQuery wraps core.ErrUnknownQuery with the router prefix and the
+// global id.
+func unknownQuery(id core.QueryID) error {
+	return fmt.Errorf("shard: %w %d", core.ErrUnknownQuery, id)
 }
 
 // Step implements core.Monitor: the arrival batch is broadcast to every
@@ -623,7 +647,7 @@ func checkInfluenceAll(n int, broadcast func(func(int, *core.Engine))) error {
 	return nil
 }
 
-// CheckInfluence verifies the influence-list invariant on every shard
+// CheckInfluence verifies the query-index invariant on every shard
 // engine, continuously checkable from stress and differential tests.
 func (s *Sharded) CheckInfluence() error {
 	return checkInfluenceAll(len(s.workers), s.broadcast)
@@ -647,7 +671,6 @@ func (s *Sharded) Stats() core.Stats {
 		agg.InitialComputations += st.InitialComputations
 		agg.CellsProcessed += st.CellsProcessed
 		agg.HeapOps += st.HeapOps
-		agg.CellsWalked += st.CellsWalked
 		agg.SkybandSizeSum += st.SkybandSizeSum
 		agg.SkybandSamples += st.SkybandSamples
 		agg.ResultUpdates += st.ResultUpdates

@@ -50,15 +50,9 @@ type Request struct {
 type Result struct {
 	// Top holds up to K entries in descending total order.
 	Top []Entry
-	// Processed lists the de-heaped cells — the cells intersecting the
-	// influence region, in which the caller must register the query's
-	// influence-list entries (Figure 6 line 13).
+	// Processed lists the de-heaped cells: exactly the cells intersecting
+	// the influence region (Figure 6 line 13).
 	Processed []int
-	// Frontier lists the cells remaining in the heap at termination: they
-	// were en-heaped although their maxscore fell at or below the kth
-	// score. They seed the influence-list pruning walk of Figure 9
-	// (lines 14-21).
-	Frontier []int
 }
 
 type cellEntry struct {
@@ -80,12 +74,13 @@ type Searcher struct {
 	clipped  geom.Rect
 	corner   geom.Vector
 	// pooled per-computation buffers: cell scores (the vectorized scoring
-	// block), the processed/frontier cell lists, the bounded top list, and
-	// the threshold result list. Reused across calls so steady-state
-	// recomputations allocate nothing; Result documents the aliasing.
+	// block), the processed cell list, the threshold search's DFS stack,
+	// the bounded top list, and the threshold result list. Reused across
+	// calls so steady-state recomputations allocate nothing; Result
+	// documents the aliasing.
 	scores     []float64
 	processed  []int
-	frontier   []int
+	stack      []int
 	top        topList
 	thrEntries []Entry
 	// CellsProcessed accumulates the number of de-heaped cells across
@@ -154,7 +149,7 @@ func (s *Searcher) scoreCell(idx int, f geom.ScoringFunction) grid.Block {
 }
 
 // TopK runs the computation module for req and returns the result entries
-// together with the processed and frontier cell sets.
+// together with the processed cell set.
 func (s *Searcher) TopK(req Request) Result {
 	if req.K <= 0 {
 		panic("topk: K must be positive")
@@ -162,7 +157,6 @@ func (s *Searcher) TopK(req Request) Result {
 	s.nextGen()
 	s.heap.Reset()
 	s.processed = s.processed[:0]
-	s.frontier = s.frontier[:0]
 	s.top.reset(req.K)
 	dims := s.g.Dims()
 
@@ -215,11 +209,7 @@ func (s *Searcher) TopK(req Request) Result {
 			}
 		}
 	}
-
-	for _, e := range s.heap.Items() {
-		s.frontier = append(s.frontier, e.idx)
-	}
-	return Result{Top: s.top.entries, Processed: s.processed, Frontier: s.frontier}
+	return Result{Top: s.top.entries, Processed: s.processed}
 }
 
 // Threshold collects every tuple with score strictly above the threshold,
@@ -239,7 +229,7 @@ func (s *Searcher) Threshold(f geom.ScoringFunction, threshold float64, constrai
 	if constraint != nil {
 		start = s.g.BestCellIn(f, *constraint)
 	}
-	queue := append(s.frontier[:0], start) // reuse the frontier buffer as the DFS stack
+	queue := append(s.stack[:0], start)
 	s.visited[start] = s.gen
 	for len(queue) > 0 {
 		idx := queue[len(queue)-1]
@@ -270,7 +260,7 @@ func (s *Searcher) Threshold(f geom.ScoringFunction, threshold float64, constrai
 			queue = append(queue, n)
 		}
 	}
-	s.frontier = queue[:0]
+	s.stack = queue[:0]
 	return s.thrEntries, s.processed
 }
 

@@ -43,9 +43,6 @@ func TestEmptyGrid(t *testing.T) {
 	if len(res.Processed) != g.NumCells() {
 		t.Fatalf("processed %d cells want %d", len(res.Processed), g.NumCells())
 	}
-	if len(res.Frontier) != 0 {
-		t.Fatalf("frontier should be empty after exhaustion")
-	}
 }
 
 func TestFewerPointsThanK(t *testing.T) {
@@ -215,34 +212,6 @@ func TestMinimalCellProperty(t *testing.T) {
 				t.Fatalf("trial %d: cell %d processed although maxscore %g < kth %g",
 					trial, idx, geom.MaxScore(f, g.Rect(idx)), kth)
 			}
-		}
-	}
-}
-
-// TestFrontierIsOutsideInfluenceRegion: frontier cells were en-heaped but
-// never processed, so their maxscore must be below the kth score, and they
-// must be worse-neighbors of processed cells.
-func TestFrontierProperty(t *testing.T) {
-	g := grid.New(2, 10, grid.FIFO)
-	gen := stream.NewGenerator(stream.IND, 2, 9)
-	populate(g, gen, 500)
-	f := geom.NewLinear(1, 2)
-	s := NewSearcher(g)
-	res := s.TopK(Request{F: f, K: 5})
-	if len(res.Top) != 5 {
-		t.Fatalf("expected full result")
-	}
-	kth := res.Top[4].Score
-	processed := map[int]bool{}
-	for _, idx := range res.Processed {
-		processed[idx] = true
-	}
-	for _, idx := range res.Frontier {
-		if processed[idx] {
-			t.Fatalf("frontier cell %d was processed", idx)
-		}
-		if ms := geom.MaxScore(f, g.Rect(idx)); ms >= kth {
-			t.Fatalf("frontier cell %d has maxscore %g >= kth %g", idx, ms, kth)
 		}
 	}
 }

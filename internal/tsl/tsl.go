@@ -222,7 +222,7 @@ func (m *Monitor) Register(spec core.QuerySpec) (core.QueryID, error) {
 func (m *Monitor) Unregister(id core.QueryID) error {
 	v, ok := m.queries[id]
 	if !ok {
-		return fmt.Errorf("tsl: unknown query %d", id)
+		return fmt.Errorf("tsl: %w %d", core.ErrUnknownQuery, id)
 	}
 	delete(m.queries, id)
 	for i, dv := range m.dirtyList {
@@ -267,7 +267,7 @@ func (m *Monitor) Step(now int64, arrivals []*stream.Tuple) ([]core.Update, erro
 func (m *Monitor) Result(id core.QueryID) ([]core.Entry, error) {
 	v, ok := m.queries[id]
 	if !ok {
-		return nil, fmt.Errorf("tsl: unknown query %d", id)
+		return nil, fmt.Errorf("tsl: %w %d", core.ErrUnknownQuery, id)
 	}
 	return v.result(nil), nil
 }

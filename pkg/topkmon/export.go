@@ -93,6 +93,9 @@ var (
 	// policy: the system is protecting itself, not failing. Producers
 	// should back off and retry; the batch was counted and drop-logged.
 	ErrOverloaded = admission.ErrOverloaded
+	// ErrUnknownQuery is reported (wrapped) by Result and Unregister for
+	// a query id that is not registered.
+	ErrUnknownQuery = core.ErrUnknownQuery
 )
 
 // Monitoring policies.

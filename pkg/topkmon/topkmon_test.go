@@ -1,6 +1,7 @@
 package topkmon_test
 
 import (
+	"errors"
 	"testing"
 
 	"topkmon/internal/simd"
@@ -565,5 +566,39 @@ func TestWithFMAKernels(t *testing.T) {
 	}
 	if _, err := m.Tick([]*topkmon.Tuple{{ID: 1, Vec: topkmon.Vector{0.3, 0.4}}, {ID: 2, Vec: topkmon.Vector{0.9, 0.8}}}); err != nil {
 		t.Fatalf("Tick: %v", err)
+	}
+}
+
+// TestUnknownQueryIsTyped: Result and Unregister on an id that is no
+// longer registered fail with ErrUnknownQuery through every layer the
+// facade can stack.
+func TestUnknownQueryIsTyped(t *testing.T) {
+	for name, opts := range map[string][]topkmon.Option{
+		"single":        nil,
+		"query-sharded": {topkmon.WithShards(2)},
+		"data-sharded":  {topkmon.WithShards(2), topkmon.WithPartitioning(topkmon.PartitionData)},
+		"pipelined":     {topkmon.WithPipeline(2)},
+		"checkpointed":  {topkmon.WithCheckpoint(t.TempDir(), 4)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := topkmon.New(2, append([]topkmon.Option{topkmon.WithCountWindow(50), topkmon.WithTargetCells(16)}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			id, err := m.RegisterTopK(topkmon.Linear(1, 1), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Unregister(id); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Result(id); !errors.Is(err, topkmon.ErrUnknownQuery) {
+				t.Fatalf("Result of unregistered query: %v, want ErrUnknownQuery", err)
+			}
+			if err := m.Unregister(id); !errors.Is(err, topkmon.ErrUnknownQuery) {
+				t.Fatalf("second Unregister: %v, want ErrUnknownQuery", err)
+			}
+		})
 	}
 }
