@@ -380,6 +380,10 @@ func BenchmarkPubSubCycle(b *testing.B) { benchsuite.RunGroup(b, "PubSubCycle") 
 // ungoverned as a same-run ratio invariant.
 func BenchmarkAdmissionOverhead(b *testing.B) { benchsuite.RunGroup(b, "AdmissionOverhead") }
 
+// BenchmarkThresholdSearch is the threshold-query cell walk on
+// anti-correlated data (internal/benchsuite).
+func BenchmarkThresholdSearch(b *testing.B) { benchsuite.RunGroup(b, "ThresholdSearch") }
+
 // BenchmarkTopKComputation isolates the top-k computation module of
 // Figure 6 (the T_comp term of the Section 6 analysis) on a loaded grid.
 func BenchmarkTopKComputation(b *testing.B) {

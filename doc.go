@@ -186,7 +186,24 @@
 // Per-cycle scratch — expiration runs, cell groupings, score buffers,
 // result diffs, search heaps and top lists — is pooled on the engine and
 // searcher: a steady-state cycle whose results do not change performs no
-// allocations beyond the Update payloads it returns.
+// allocations. A cycle that does change results allocates its Update
+// payloads as exactly two objects, whatever the number of updates: one
+// entry slab and one []Update whose Added/Removed are capacity-clipped
+// sub-slices of it (appending to one never touches another).
+//
+// The from-scratch recomputation of Figure 6 (TMA re-runs it whenever a
+// result tuple expires) is table-driven per step. At the start of a
+// search, internal/topk builds a dims×res table of best-corner
+// coordinates — the cell bounds c/res and (c+1)/res picked by the
+// function's direction and clipped to any constraint — and a per-axis
+// "meets the constraint" table. Queued cells live in a node arena that
+// carries their axis coordinates, so stepping to a worse neighbour is an
+// add and a bounds check, and a neighbour's maxscore is the parent's best
+// corner with one coordinate swapped and scored by f.Score. The cell
+// heap is a typed binary heap over (maxscore, node) pairs with inline
+// comparisons. The tables hold the very doubles the grid's cell
+// rectangles do, so the walk (cells, order, CellsProcessed, HeapOps) is
+// exactly the per-rectangle one; a golden traversal test pins it.
 //
 // Event delivery batches across queries too: instead of the paper's
 // per-query influence lists (O(queries × cells) memory, every arrival
@@ -221,8 +238,9 @@
 // internal/benchsuite defines the hot-path benchmarks (the Figure 14
 // per-cycle benchmark plus InsertTupleBatch, ScoreBlock
 // kernel-vs-pointwise, MultiQueryKernel multi-vs-per-query,
-// QueryIndexProbe, the PubSubCycle query-count series and
-// TopKComputation), reachable both via `go test -bench` and via `go run
+// QueryIndexProbe, the PubSubCycle query-count series, TopKComputation
+// on independent and anti-correlated data, and ThresholdSearch),
+// reachable both via `go test -bench` and via `go run
 // ./cmd/benchreport`, which emits BENCH_12.json (ns/op, allocs/op, MB/s
 // per benchmark, plus the ScoreBlockLeg/MultiQueryKernelLeg per-leg
 // series). CI regenerates the report on every push and gates it against

@@ -31,6 +31,7 @@ const (
 	seedBlockFn   = 42 // ScoreBlock scoring function
 	seedTopKData  = 3  // TopKComputation grid fill (matches bench_test.go)
 	seedTopKQuery = 4  // TopKComputation query set
+	seedWalkData  = 46 // TopKComputation/ant and ThresholdSearch grid fill
 	seedMultiFn   = 44 // MultiQueryKernel near-duplicate weight rows
 	seedProbe     = 45 // QueryIndexProbe query population
 )
@@ -57,6 +58,8 @@ func Suite() []Bench {
 		{"PubSubCycle/q=10000", pubSubCycle(10000)},
 		{"PubSubCycle/q=100000", pubSubCycle(100000)},
 		{"TopKComputation/k=20", topKComputation},
+		{"TopKComputation/ant-k=20", topKComputationANT},
+		{"ThresholdSearch/d=4", thresholdSearch},
 		{"AdmissionOverhead/ungoverned", admissionOverhead(false)},
 		{"AdmissionOverhead/governed", admissionOverhead(true)},
 		{"AdmissionOverhead/fastpath", admissionFastPath},
@@ -519,5 +522,46 @@ func topKComputation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.TopK(topk.Request{F: fns[i%len(fns)], K: 20})
+	}
+}
+
+// walkFixture is the paper's 12^4 grid holding 100 000 anti-correlated
+// tuples (the paper-tma-ant window), with 64 linear query functions.
+// ANT data leaves the best-corner cells empty, so a search there is
+// dominated by the cell walk itself rather than by tuple scoring.
+func walkFixture() (*topk.Searcher, []geom.ScoringFunction) {
+	g := grid.New(4, 12, grid.FIFO)
+	gen := stream.NewGenerator(stream.ANT, 4, seedWalkData)
+	for i := 0; i < 100000; i++ {
+		g.Insert(gen.Next(0))
+	}
+	return topk.NewSearcher(g), stream.NewQueryGenerator(stream.FuncLinear, 4, seedTopKQuery).NextN(64)
+}
+
+// topKComputationANT is topKComputation on walkFixture: the
+// from-scratch TMA recomputation of the paper-tma-ant workload.
+func topKComputationANT(b *testing.B) {
+	s, fns := walkFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.TopK(topk.Request{F: fns[i%len(fns)], K: 20})
+	}
+}
+
+// thresholdSearch runs the threshold-query search on walkFixture with
+// each function's threshold at 0.85 of its maximum score: regions of
+// several hundred to about a thousand cells, the size of the top-k walk
+// above.
+func thresholdSearch(b *testing.B) {
+	s, fns := walkFixture()
+	thr := make([]float64, len(fns))
+	for i, f := range fns {
+		thr[i] = 0.85 * geom.MaxScore(f, geom.UnitRect(4))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Threshold(fns[i%len(fns)], thr[i%len(fns)], nil)
 	}
 }

@@ -121,19 +121,22 @@ type Engine struct {
 	// cellMark stamps cells touched by the current phase (insert phase:
 	// 1 + the cell's live length before the batch; expire phase: 1 + the
 	// cell's bucket position); touched lists them in first-touch order.
-	cellMark   []int32
-	touched    []int
-	expBuckets []expBucket
-	expFilter  []*stream.Tuple
-	pendingQs  []*query
-	mqDst      []float64
-	expCoords  []float64
-	ubRow      []float64
-	skyScratch []skyband.Entry
-	resScratch []Entry
-	curIDs     map[uint64]struct{}
-	batchIDs   map[uint64]struct{}
-	goneIDs    map[uint64]struct{}
+	cellMark    []int32
+	touched     []int
+	expBuckets  []expBucket
+	expFilter   []*stream.Tuple
+	pendingQs   []*query
+	mqDst       []float64
+	expCoords   []float64
+	ubRow       []float64
+	skyScratch  []skyband.Entry
+	resScratch  []Entry
+	payScratch  []Entry
+	remScratch  []Entry
+	spanScratch []updSpan
+	curIDs      map[uint64]struct{}
+	batchIDs    map[uint64]struct{}
+	goneIDs     map[uint64]struct{}
 
 	// numSMA counts registered SMA queries, so cycles without any skip
 	// the per-cycle skyband sampling loop (O(queries) — the one loop
@@ -940,52 +943,85 @@ func (e *Engine) finishCycle() []Update {
 	}
 
 	// Report changes to the client (Figure 9 line 22 / Figure 11 line 23).
-	// The Update payloads are freshly allocated — they are handed to the
-	// caller — but the diffing itself runs on pooled scratch, so a cycle
-	// that changes no result allocates nothing here.
-	var updates []Update
+	// The diffing runs on pooled scratch: each delta is gathered into
+	// payScratch (Removed through remScratch, which is sorted first) and
+	// located by a span, so a cycle that changes no result allocates
+	// nothing here. A cycle that does allocates exactly two objects,
+	// whatever the number of updates: one []Entry slab holding every
+	// delta and one []Update, whose Added/Removed are capacity-clipped
+	// sub-slices of the slab (see Update).
+	pay, spans := e.payScratch[:0], e.spanScratch[:0]
 	for _, q := range e.dirtyList {
 		q.dirty = false
 		e.resScratch = q.currentResult(e.resScratch[:0])
 		scratch := e.resScratch
-		var upd Update
+		sp := updSpan{query: q.id, add: len(pay)}
 		for _, en := range scratch {
 			if _, ok := q.lastIDs[en.T.ID]; !ok {
-				upd.Added = append(upd.Added, en)
+				pay = append(pay, en)
 			}
 		}
-		if len(scratch) != len(q.lastIDs) || len(upd.Added) > 0 {
+		sp.rem = len(pay)
+		removed := e.remScratch[:0]
+		if len(scratch) != len(q.lastIDs) || sp.rem > sp.add {
 			clear(e.curIDs)
 			for _, en := range scratch {
 				e.curIDs[en.T.ID] = struct{}{}
 			}
 			for id, en := range q.lastIDs {
 				if _, ok := e.curIDs[id]; !ok {
-					upd.Removed = append(upd.Removed, en)
+					removed = append(removed, en)
 				}
 			}
 		}
-		if len(upd.Added) == 0 && len(upd.Removed) == 0 {
+		e.remScratch = removed
+		if len(removed) == 0 && sp.rem == sp.add {
 			continue
 		}
-		upd.Query = q.id
 		clear(q.lastIDs)
 		for _, en := range scratch {
 			q.lastIDs[en.T.ID] = en
 		}
-		slices.SortFunc(upd.Added, entryBetter)
-		slices.SortFunc(upd.Removed, entryBetter)
-		updates = append(updates, upd)
+		slices.SortFunc(pay[sp.add:sp.rem], entryBetter)
+		slices.SortFunc(removed, entryBetter)
+		pay = append(pay, removed...)
+		clear(removed)
+		sp.end = len(pay)
+		spans = append(spans, sp)
 		e.stats.ResultUpdates++
 	}
 	e.dirtyList = e.dirtyList[:0]
-	slices.SortFunc(updates, func(a, b Update) int {
-		if a.Query < b.Query {
+	e.payScratch, e.spanScratch = pay, spans
+	if len(spans) == 0 {
+		return nil
+	}
+	slices.SortFunc(spans, func(a, b updSpan) int {
+		if a.query < b.query {
 			return -1
 		}
 		return 1
 	})
+	slab := make([]Entry, len(pay))
+	copy(slab, pay)
+	clear(pay) // the pooled scratch must not pin delivered tuples
+	updates := make([]Update, len(spans))
+	for i, sp := range spans {
+		updates[i].Query = sp.query
+		if sp.rem > sp.add {
+			updates[i].Added = slab[sp.add:sp.rem:sp.rem]
+		}
+		if sp.end > sp.rem {
+			updates[i].Removed = slab[sp.rem:sp.end:sp.end]
+		}
+	}
 	return updates
+}
+
+// updSpan locates one query's result delta in the cycle's pooled
+// payload: Added is payScratch[add:rem] and Removed payScratch[rem:end].
+type updSpan struct {
+	query         QueryID
+	add, rem, end int
 }
 
 // entryBetter orders entries by the stream.Better total preference order

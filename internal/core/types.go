@@ -129,6 +129,13 @@ type Entry struct {
 
 // Update reports the result delta of one query after a processing cycle.
 // Queries whose result did not change produce no Update.
+//
+// The Added and Removed slices of all Updates of one cycle share one
+// backing array, and each is capacity-clipped (len == cap): appending to
+// one reallocates it and never writes into another Update's entries.
+// Writing through an index (Added[i] = ...) changes only that Update's
+// view, and keeping any one slice keeps the whole cycle's array alive.
+// An empty delta is nil.
 type Update struct {
 	Query   QueryID
 	Added   []Entry

@@ -144,8 +144,8 @@ func (r Rect) Intersect(o Rect) (out Rect, ok bool) {
 }
 
 // IntersectInto is an allocation-free Intersect: the clipped bounds are
-// written into out, which must have the right dimensionality. It is used on
-// the hot path of constrained top-k search.
+// written into out, which must have the right dimensionality. The engine's
+// influence-region invariant checks use it per cell.
 func (r Rect) IntersectInto(o Rect, out *Rect) bool {
 	if !r.Intersects(o) {
 		return false

@@ -18,9 +18,9 @@
 // which derives each query's influence region from its bound.
 //
 // The grid also provides the cell geometry needed by the top-k computation
-// module: cell lookup in O(1) from a point, cell rectangles, the best-corner
-// cell for a monotone scoring function, and "worse-neighbor" stepping along
-// each axis.
+// module: cell lookup in O(1) from a point, cell rectangles and the
+// best-corner cell for a monotone scoring function. The search steps
+// between cells on its own coordinates (internal/topk).
 //
 // The //topk:deterministic directive below puts this package under the
 // topklint determinism analyzer: no wall-clock reads, no unseeded
@@ -159,7 +159,8 @@ type Grid struct {
 	delta  float64
 	mode   Mode
 	cells  []cell
-	stride []int // stride[i] = res^i, for index arithmetic
+	stride []int     // stride[i] = res^i, for index arithmetic
+	edges  []float64 // edges[c] = c/res, the cell boundaries of every axis
 	points int
 	// maxCellBytesHW is the largest single cell's capacity byte footprint
 	// ever reached — the tuple-hash-skew signal for memory-aware shard
@@ -186,6 +187,14 @@ func New(dims, res int, mode Mode) *Grid {
 		}
 		total *= res
 	}
+	// Division, not multiplication by delta: division is correctly
+	// rounded, so the boundary of cell 7 in a 10-cell grid is exactly the
+	// double 0.7 and touches user-supplied constraint rectangles written
+	// with such literals.
+	edges := make([]float64, res+1)
+	for c := range edges {
+		edges[c] = float64(c) / float64(res)
+	}
 	return &Grid{
 		dims:   dims,
 		res:    res,
@@ -193,6 +202,7 @@ func New(dims, res int, mode Mode) *Grid {
 		mode:   mode,
 		cells:  make([]cell, total),
 		stride: stride,
+		edges:  edges,
 	}
 }
 
@@ -227,6 +237,16 @@ func (g *Grid) Res() int { return g.res }
 
 // Delta returns the cell extent per axis (1/Res).
 func (g *Grid) Delta() float64 { return g.delta }
+
+// Strides returns the per-axis cell-index strides: cell index =
+// sum of coordinate[i]*Strides()[i], with Strides()[i] = Res()^i. The
+// slice is the grid's own and must not be modified.
+func (g *Grid) Strides() []int { return g.stride }
+
+// Edges returns the cell boundaries shared by every axis: the cell with
+// coordinate c spans [Edges()[c], Edges()[c+1]], the very doubles
+// RectInto reports. The slice is the grid's own and must not be modified.
+func (g *Grid) Edges() []float64 { return g.edges }
 
 // Mode returns the point-list representation mode.
 func (g *Grid) Mode() Mode { return g.mode }
@@ -280,17 +300,13 @@ func (g *Grid) IndexFromCoords(coords []int) int {
 }
 
 // RectInto writes the closed rectangle of cell idx into out, whose Lo/Hi
-// vectors must have length Dims. Bounds are computed by division (c/res),
-// not multiplication by delta: division is correctly rounded, so the
-// boundary of cell 7 in a 10-cell grid is exactly the double 0.7 and
-// touches user-supplied constraint rectangles written with such literals.
+// vectors must have length Dims. Its bounds come from the Edges table.
 func (g *Grid) RectInto(idx int, out *geom.Rect) {
-	res := float64(g.res)
 	for i := g.dims - 1; i >= 0; i-- {
 		c := idx / g.stride[i]
 		idx -= c * g.stride[i]
-		out.Lo[i] = float64(c) / res
-		out.Hi[i] = float64(c+1) / res
+		out.Lo[i] = g.edges[c]
+		out.Hi[i] = g.edges[c+1]
 	}
 }
 
@@ -299,29 +315,6 @@ func (g *Grid) Rect(idx int) geom.Rect {
 	out := geom.Rect{Lo: make(geom.Vector, g.dims), Hi: make(geom.Vector, g.dims)}
 	g.RectInto(idx, &out)
 	return out
-}
-
-// Neighbor returns the index of the cell one step along dim (delta = +1 or
-// -1 cell). ok is false when the step leaves the workspace.
-func (g *Grid) Neighbor(idx, dim, delta int) (int, bool) {
-	c := (idx / g.stride[dim]) % g.res
-	nc := c + delta
-	if nc < 0 || nc >= g.res {
-		return 0, false
-	}
-	return idx + delta*g.stride[dim], true
-}
-
-// StepWorse returns the neighbor of idx along dim in the direction of
-// decreasing maxscore for a function monotone as dir on that axis: toward
-// lower coordinates when increasing, higher when decreasing. This is the
-// en-heaping step of Figure 6 (generalized to arbitrary monotonicity as in
-// Figure 7).
-func (g *Grid) StepWorse(idx, dim int, dir geom.Direction) (int, bool) {
-	if dir == geom.Increasing {
-		return g.Neighbor(idx, dim, -1)
-	}
-	return g.Neighbor(idx, dim, +1)
 }
 
 // BestCell returns the index of the cell with the globally maximal

@@ -123,61 +123,6 @@ func TestRectContainsItsPoints(t *testing.T) {
 	}
 }
 
-func TestNeighborAndBounds(t *testing.T) {
-	g := New(2, 3, FIFO)
-	coords := make([]int, 2)
-	center := g.IndexFromCoords([]int{1, 1})
-	for _, c := range []struct {
-		dim, delta int
-		want       [2]int
-	}{
-		{0, +1, [2]int{2, 1}},
-		{0, -1, [2]int{0, 1}},
-		{1, +1, [2]int{1, 2}},
-		{1, -1, [2]int{1, 0}},
-	} {
-		n, ok := g.Neighbor(center, c.dim, c.delta)
-		if !ok {
-			t.Fatalf("neighbor dim=%d delta=%d not found", c.dim, c.delta)
-		}
-		g.CoordsInto(n, coords)
-		if coords[0] != c.want[0] || coords[1] != c.want[1] {
-			t.Fatalf("neighbor coords=%v want %v", coords, c.want)
-		}
-	}
-	corner := g.IndexFromCoords([]int{0, 0})
-	if _, ok := g.Neighbor(corner, 0, -1); ok {
-		t.Fatalf("stepping off the low edge must fail")
-	}
-	if _, ok := g.Neighbor(g.IndexFromCoords([]int{2, 0}), 0, +1); ok {
-		t.Fatalf("stepping off the high edge must fail")
-	}
-}
-
-func TestStepWorseDirections(t *testing.T) {
-	g := New(2, 4, FIFO)
-	idx := g.IndexFromCoords([]int{2, 2})
-	coords := make([]int, 2)
-	// Increasing: worse is toward lower coordinates.
-	n, ok := g.StepWorse(idx, 0, geom.Increasing)
-	if !ok {
-		t.Fatalf("step failed")
-	}
-	g.CoordsInto(n, coords)
-	if coords[0] != 1 {
-		t.Fatalf("increasing step gave %v", coords)
-	}
-	// Decreasing: worse is toward higher coordinates.
-	n, ok = g.StepWorse(idx, 1, geom.Decreasing)
-	if !ok {
-		t.Fatalf("step failed")
-	}
-	g.CoordsInto(n, coords)
-	if coords[1] != 3 {
-		t.Fatalf("decreasing step gave %v", coords)
-	}
-}
-
 func TestBestCell(t *testing.T) {
 	g := New(2, 7, FIFO)
 	coords := make([]int, 2)

@@ -254,9 +254,10 @@ type Index struct {
 	cells     [][]CellEntry
 
 	// scratch for cache rebuilds.
-	rect   geom.Rect
-	corner geom.Vector
-	keyBuf []byte
+	rect    geom.Rect
+	corner  geom.Vector
+	keyBuf  []byte
+	rebuild []CellEntry
 }
 
 // New constructs an empty index over the given geometry.
@@ -502,7 +503,11 @@ func (ix *Index) CellEntries(idx int) []CellEntry {
 	if ix.cellEpoch[idx] == ix.epoch {
 		return ix.cells[idx]
 	}
-	lst := ix.cells[idx][:0]
+	// Rebuild into pooled scratch, then store the list at exact size: in
+	// place when the old list has room, else in one exact allocation. The
+	// cache keeps one list per cell, so append-doubling slack would be
+	// paid once per cell.
+	scratch := ix.rebuild[:0]
 	ix.geo.RectInto(idx, &ix.rect)
 	for _, c := range ix.clusters {
 		if len(c.ids) == 0 {
@@ -510,9 +515,15 @@ func (ix *Index) CellEntries(idx int) []CellEntry {
 		}
 		ub := c.ub(&ix.rect, ix.corner)
 		if ub >= c.walkBound {
-			lst = append(lst, CellEntry{C: c, UB: ub})
+			scratch = append(scratch, CellEntry{C: c, UB: ub})
 		}
 	}
+	ix.rebuild = scratch
+	lst := ix.cells[idx][:0]
+	if cap(lst) < len(scratch) {
+		lst = make([]CellEntry, 0, len(scratch))
+	}
+	lst = append(lst, scratch...)
 	ix.cells[idx] = lst
 	ix.cellEpoch[idx] = ix.epoch
 	return lst

@@ -1,8 +1,12 @@
 package topk
 
 import (
+	"container/heap"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"topkmon/internal/geom"
 	"topkmon/internal/grid"
@@ -313,4 +317,149 @@ func sameIDs(a []Entry, b []validate.Entry) bool {
 		}
 	}
 	return true
+}
+
+// TestWarmSearchAllocatesNothing pins the pooled-scratch contract: once a
+// searcher has run a computation of a given size, repeating it (top-k,
+// constrained top-k or threshold) allocates nothing.
+func TestWarmSearchAllocatesNothing(t *testing.T) {
+	g := grid.New(4, 12, grid.FIFO)
+	populate(g, stream.NewGenerator(stream.ANT, 4, 9), 3000)
+	s := NewSearcher(g)
+	f := geom.NewLinear(0.3, -0.7, 0.2, 0.9)
+	c := &geom.Rect{Lo: geom.Vector{0, 0.25, -1, 0.5}, Hi: geom.Vector{0.75, 1, 2, 1}}
+	cases := map[string]func(){
+		"topk":                  func() { s.TopK(Request{F: f, K: 20}) },
+		"constrained":           func() { s.TopK(Request{F: f, K: 20, Constraint: c}) },
+		"threshold":             func() { s.Threshold(f, 0.9, nil) },
+		"constrained threshold": func() { s.Threshold(f, 0.5, c) },
+	}
+	for name, run := range cases {
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%s: %v allocs per warm run, want 0", name, allocs)
+		}
+	}
+}
+
+// refHeap is container/heap's max-heap over heapItem. Its sift-up and
+// sift-down are the binary-heap algorithm cellHeap implements, so the two
+// must pop equal maxscores in the same order.
+type refHeap []heapItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].maxscore > h[j].maxscore }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(heapItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// popAll drains h and returns the popped maxscores.
+func popAll(h *cellHeap) []float64 {
+	var out []float64
+	for len(*h) > 0 {
+		out = append(out, h.pop().maxscore)
+	}
+	return out
+}
+
+// TestCellHeapPushPopOrder: pushes followed by pops come out in
+// descending maxscore order, duplicates included.
+func TestCellHeapPushPopOrder(t *testing.T) {
+	var h cellHeap
+	for i, v := range []float64{3, 1, 4, 1, 5, 9, 2, 6} {
+		h.push(heapItem{v, int32(i)})
+	}
+	want := []float64{9, 6, 5, 4, 3, 2, 1, 1}
+	for i, w := range want {
+		if got := h.pop().maxscore; got != w {
+			t.Fatalf("pop %d: got %g want %g", i, got, w)
+		}
+	}
+}
+
+// TestCellHeapDrain: popping until empty returns every item and leaves
+// the heap empty and reusable.
+func TestCellHeapDrain(t *testing.T) {
+	h := make(cellHeap, 0, 4)
+	for i, v := range []float64{5, 2, 8} {
+		h.push(heapItem{v, int32(i)})
+	}
+	got := popAll(&h)
+	if len(got) != 3 || got[0] != 8 || got[1] != 5 || got[2] != 2 {
+		t.Fatalf("drain=%v", got)
+	}
+	if len(h) != 0 {
+		t.Fatalf("drain must empty the heap")
+	}
+	h.push(heapItem{42, 0})
+	if top := h.pop().maxscore; top != 42 || len(h) != 0 {
+		t.Fatalf("heap unusable after drain: popped %g, len %d", top, len(h))
+	}
+}
+
+// TestCellHeapSortProperty: popping everything yields a descending sort.
+func TestCellHeapSortProperty(t *testing.T) {
+	prop := func(values []int8) bool {
+		var h cellHeap
+		want := make([]float64, len(values))
+		for i, v := range values {
+			h.push(heapItem{float64(v), int32(i)})
+			want[i] = float64(v)
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+		got := popAll(&h)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCellHeapInterleavedOps drives cellHeap and container/heap through
+// the same random interleaving of pushes and pops, with heavy maxscore
+// ties, and requires identical pop sequences (maxscore and node): the
+// tie order is part of the pinned search walk.
+func TestCellHeapInterleavedOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for trial := 0; trial < 200; trial++ {
+		var h cellHeap
+		ref := &refHeap{}
+		levels := 1 + rng.Intn(8)
+		for op := 0; op < 300; op++ {
+			if len(h) > 0 && rng.Intn(3) == 0 {
+				got, want := h.pop(), heap.Pop(ref).(heapItem)
+				if got != want {
+					t.Fatalf("trial %d op %d: popped %+v want %+v", trial, op, got, want)
+				}
+				continue
+			}
+			x := heapItem{float64(rng.Intn(levels)), int32(op)}
+			h.push(x)
+			heap.Push(ref, x)
+		}
+		prev := math.Inf(1)
+		for len(h) > 0 {
+			got, want := h.pop(), heap.Pop(ref).(heapItem)
+			if got != want {
+				t.Fatalf("trial %d drain: popped %+v want %+v", trial, got, want)
+			}
+			if got.maxscore > prev {
+				t.Fatalf("trial %d drain: %g after %g, not descending", trial, got.maxscore, prev)
+			}
+			prev = got.maxscore
+		}
+	}
 }

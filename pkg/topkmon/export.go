@@ -33,6 +33,9 @@ type (
 	// Entry is one result tuple with its score.
 	Entry = core.Entry
 	// Update is the result delta of one query after a processing cycle.
+	// All Updates of one cycle share one backing array for their Added
+	// and Removed entries; each slice is capacity-clipped, so appending
+	// to one never changes another.
 	Update = core.Update
 	// Policy selects the maintenance algorithm (TMA or SMA).
 	Policy = core.Policy
